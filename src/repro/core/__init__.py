@@ -10,7 +10,8 @@ This subpackage is the paper's primary contribution.  The layering:
     the procedural interpretation (small-step semantics) and the full-TD
     engine (BFS semi-decision procedure + DFS simulation scheduler);
 ``seqeval`` / ``nonrec``
-    decision procedures for the sequential and nonrecursive sublanguages;
+    decision procedures for the sequential and nonrecursive sublanguages
+    (one tabled evaluator: least fixpoint, or top-down on first use);
 ``analysis`` / ``engine``
     the sublanguage classifier and the engine façade that routes each
     program to the weakest adequate evaluator.

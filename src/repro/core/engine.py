@@ -4,25 +4,34 @@ The paper's complexity map is prescriptive for implementations: the less
 expressive the sublanguage, the better the evaluation strategy available.
 :func:`select_engine` runs the classifier and routes:
 
-========================  =============================  ==============
-sublanguage               engine                         termination
-========================  =============================  ==============
-query-only TD             tabled sequential evaluator    decision proc.
-nonrecursive TD           memoized top-down evaluator    decision proc.
-fully bounded TD          small-step exhaustive search   decision proc.
-sequential TD             tabled sequential evaluator    decision proc.
-full TD                   small-step BFS                 semi-decision
-========================  =============================  ==============
+========================  ===================================  ==============
+sublanguage               engine                               termination
+========================  ===================================  ==============
+query-only TD             tabled sequential evaluator          decision proc.
+nonrecursive TD           sequential evaluator, top-down mode  decision proc.
+fully bounded TD          small-step exhaustive search         decision proc.
+sequential TD             tabled sequential evaluator          decision proc.
+full TD                   small-step BFS                       semi-decision
+========================  ===================================  ==============
+
+The analytic rows share one table from (call, input state) to
+(answers, output state): the tabled evaluator
+(:class:`~repro.core.seqeval.SequentialEngine`) fills it as a least
+fixpoint, its top-down mode
+(:class:`~repro.core.nonrec.NonrecursiveEngine`) on first use, which
+suffices when the call graph is acyclic.
 
 :class:`Engine` wraps the result with a uniform API (``succeeds``,
 ``solve``, ``final_databases``, ``simulate``) so examples, tests and
-benchmarks do not care which evaluator runs underneath.
+benchmarks do not care which evaluator runs underneath.  Traces are a
+small-step notion, so ``simulate`` and ``resume`` over an analytic
+backend run a small-step interpreter built per call with the
+``select_engine`` settings.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Set, Union
 
 from ..obs.context import Instrumentation, active
@@ -30,14 +39,7 @@ from .analysis import Analysis, Sublanguage, analyze
 from .database import Database
 from .errors import ReproError
 from .formulas import Formula
-from .interpreter import (
-    Checkpoint,
-    Deadline,
-    Execution,
-    Interpreter,
-    Solution,
-    _simulate_legacy_args,
-)
+from .interpreter import Checkpoint, Deadline, Execution, Interpreter, Solution
 from .nonrec import NonrecursiveEngine
 from .parser import as_goal
 from .program import Program
@@ -45,7 +47,7 @@ from .seqeval import SequentialEngine
 
 __all__ = ["Engine", "select_engine", "solve"]
 
-_Backend = Union[Interpreter, SequentialEngine, NonrecursiveEngine]
+_Backend = Union[Interpreter, SequentialEngine]
 
 
 def _annotate(exc: ReproError, goal: Union[str, Formula]) -> ReproError:
@@ -76,6 +78,10 @@ class Engine:
     backend: _Backend
     analysis: Analysis
     sublanguage: Sublanguage
+    #: The ``select_engine`` small-step settings, kept for the
+    #: interpreters :meth:`_interpreter` builds over analytic backends.
+    _max_configs: int = field(default=200_000, init=False, repr=False)
+    _tabling: bool = field(default=True, init=False, repr=False)
 
     @property
     def decidable(self) -> bool:
@@ -96,19 +102,43 @@ class Engine:
             obs.metrics.set_info("engine.decidable", str(self.decidable).lower())
         return obs
 
-    def _timer_name(self) -> str:
-        return "time.%s" % self.sublanguage.name.lower()
+    def _timed(self, obs: Instrumentation, goal: Union[str, Formula], run):
+        """``run()``, accruing wall time per sublanguage when
+        instrumented.  Engine errors cross this façade as the same
+        exception object (``spent``/``checkpoint`` intact), with the
+        user's *goal* stamped on."""
+        try:
+            if not obs.enabled:
+                return run()
+            with obs.metrics.timer("time.%s" % self.sublanguage.name.lower()):
+                return run()
+        except ReproError as exc:
+            raise _annotate(exc, goal)
+
+    def _interpreter(self) -> Interpreter:
+        """The small-step interpreter for ``simulate``/``resume``: the
+        backend itself, or -- over an analytic backend -- a fresh one per
+        call with the ``select_engine`` settings.  Fresh, because a
+        persistent one would carry a warm answer table across unrelated
+        store states."""
+        backend = self.backend
+        if isinstance(backend, Interpreter):
+            return backend
+        return Interpreter(
+            self.program,
+            max_configs=self._max_configs,
+            provenance=backend.provenance,
+            attribution=backend.attribution,
+            store=backend.store,
+            tabling=self._tabling,
+        )
 
     def succeeds(self, goal: Union[str, Formula], db: Optional[Database] = None) -> bool:
         """Does some execution of *goal* from *db* commit?"""
         obs = self._describe()
-        try:
-            if not obs.enabled:
-                return self.backend.succeeds(self._goal(goal), db)
-            with obs.metrics.timer(self._timer_name()):
-                return self.backend.succeeds(self._goal(goal), db)
-        except ReproError as exc:
-            raise _annotate(exc, goal)
+        return self._timed(
+            obs, goal, lambda: self.backend.succeeds(self._goal(goal), db)
+        )
 
     def solve(
         self,
@@ -135,66 +165,40 @@ class Engine:
         obs: Instrumentation,
         deadline: Union[None, float, Deadline] = None,
     ) -> Iterator[Solution]:
-        """Enumerate solutions, accruing wall time per sublanguage.
-
-        The timer covers time spent *inside* the backend iterator, not
-        whatever the consumer does between answers.  Engine errors
-        escaping the backend cross this façade as the same exception
-        object (``spent``/``checkpoint`` intact), with the user's goal
-        stamped on.
-        """
-        name = self._timer_name()
+        """Enumerate solutions; the timer covers time spent *inside* the
+        backend iterator, not whatever the consumer does between
+        answers."""
         if deadline is not None and isinstance(self.backend, Interpreter):
             inner = self.backend.solve(self._goal(goal), db, deadline=deadline)
         else:
             inner = self.backend.solve(self._goal(goal), db)
         while True:
             try:
-                if not obs.enabled:
-                    solution = next(inner)
-                else:
-                    with obs.metrics.timer(name):
-                        solution = next(inner)
+                solution = self._timed(obs, goal, lambda: next(inner))
             except StopIteration:
                 return
-            except ReproError as exc:
-                raise _annotate(exc, goal)
             yield solution
 
     def resume(self, checkpoint: Checkpoint, **kwargs) -> Iterator[Solution]:
         """Continue an interrupted small-step search (see
         :meth:`Interpreter.resume`); checkpoints only come from the
         small-step backend, so an interpreter always handles this."""
-        interp = (
-            self.backend
-            if isinstance(self.backend, Interpreter)
-            else Interpreter(
-                self.program,
-                provenance=getattr(self.backend, "provenance", None),
-                attribution=getattr(self.backend, "attribution", None),
-                tabling=getattr(self.backend, "tabling", True),
-            )
-        )
-        return interp.resume(checkpoint, **kwargs)
+        return self._interpreter().resume(checkpoint, **kwargs)
 
     def final_databases(
         self, goal: Union[str, Formula], db: Optional[Database] = None
     ) -> Set[Database]:
         """All states the transaction can leave the database in."""
         obs = self._describe()
-        try:
-            if not obs.enabled:
-                return self.backend.final_databases(self._goal(goal), db)
-            with obs.metrics.timer(self._timer_name()):
-                return self.backend.final_databases(self._goal(goal), db)
-        except ReproError as exc:
-            raise _annotate(exc, goal)
+        return self._timed(
+            obs, goal, lambda: self.backend.final_databases(self._goal(goal), db)
+        )
 
     def simulate(
         self,
         goal: Union[str, Formula],
         db: Optional[Database] = None,
-        *legacy,
+        *,
         seed: Optional[int] = None,
         max_depth: int = 100_000,
         deadline: Union[None, float, Deadline] = None,
@@ -206,38 +210,22 @@ class Engine:
         store is attached the winning trace is committed to it (see
         :meth:`Interpreter.simulate`).
         """
-        seed, max_depth = _simulate_legacy_args(legacy, seed, max_depth)
-        interp = (
-            self.backend
-            if isinstance(self.backend, Interpreter)
-            else Interpreter(
-                self.program,
-                provenance=getattr(self.backend, "provenance", None),
-                attribution=getattr(self.backend, "attribution", None),
-                store=getattr(self.backend, "store", None),
-                tabling=getattr(self.backend, "tabling", True),
-            )
-        )
+        interp = self._interpreter()
         obs = self._describe()
-        try:
-            if not obs.enabled:
-                return interp.simulate(
-                    self._goal(goal), db, seed=seed, max_depth=max_depth,
-                    deadline=deadline,
-                )
-            with obs.metrics.timer(self._timer_name()):
-                return interp.simulate(
-                    self._goal(goal), db, seed=seed, max_depth=max_depth,
-                    deadline=deadline,
-                )
-        except ReproError as exc:
-            raise _annotate(exc, goal)
+        return self._timed(
+            obs,
+            goal,
+            lambda: interp.simulate(
+                self._goal(goal), db, seed=seed, max_depth=max_depth,
+                deadline=deadline,
+            ),
+        )
 
 
 def select_engine(
     program: Program,
     goal: Union[str, Formula, None] = None,
-    *legacy,
+    *,
     max_configs: int = 200_000,
     provenance=None,
     attribution=None,
@@ -247,31 +235,17 @@ def select_engine(
     """Classify *program* (and *goal*, if given) and build the matching
     engine.
 
-    ``max_configs`` bounds the small-step searches (full and fully
-    bounded TD); the big-step evaluators ignore it, as they terminate
-    unconditionally.  ``provenance`` attaches a derivation recorder (see
+    ``max_configs`` bounds the small-step searches: full and fully
+    bounded TD, and ``simulate``/``resume`` on any program.  The
+    big-step evaluators terminate unconditionally and ignore it.
+    ``provenance`` attaches a derivation recorder (see
     :mod:`repro.obs.provenance`), ``attribution`` a cost attributor
     (see :mod:`repro.obs.hotspots`), and ``store`` a storage backend
     (see :class:`repro.store.Store` and docs/STORAGE.md) to whichever
     backend is selected.  ``tabling=False`` disables answer tabling on
-    the small-step backend (docs/PERFORMANCE.md; the analytic backends
-    table by construction and ignore it).  Options after ``goal`` are
-    keyword-only; positional ``max_configs`` keeps working for one
-    deprecation cycle.
+    the small-step searches (docs/PERFORMANCE.md; the analytic backends
+    table by construction).  Options after ``goal`` are keyword-only.
     """
-    if legacy:
-        if len(legacy) > 1:
-            raise TypeError(
-                "select_engine() takes 2 positional arguments (program, goal) "
-                "but %d were given" % (2 + len(legacy))
-            )
-        warnings.warn(
-            "passing max_configs positionally to select_engine() is "
-            "deprecated; use select_engine(program, goal, max_configs=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        max_configs = legacy[0]
     if goal is not None:
         goal = as_goal(goal)
     analysis = analyze(program, goal)
@@ -294,7 +268,12 @@ def select_engine(
             store=store,
             tabling=tabling,
         )
-    return Engine(program=program, backend=backend, analysis=analysis, sublanguage=sub)
+    engine = Engine(
+        program=program, backend=backend, analysis=analysis, sublanguage=sub
+    )
+    engine._max_configs = max_configs
+    engine._tabling = tabling
+    return engine
 
 
 def solve(

@@ -30,7 +30,7 @@ engines' memo tables rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .terms import Atom, Constant, Term, Variable
 from .unify import Substitution, apply_atom, walk
@@ -55,6 +55,7 @@ __all__ = [
     "iso",
     "apply_subst",
     "formula_variables",
+    "ordered_variables",
     "free_variables",
     "rename_formula",
     "walk_formulas",
@@ -433,6 +434,11 @@ def formula_variables(f: Formula) -> Iterator[Variable]:
     elif isinstance(f, Builtin):
         yield from _expr_variables(f.left)
         yield from _expr_variables(f.right)
+
+
+def ordered_variables(f: Formula) -> List[Variable]:
+    """The variables of *f*, deduplicated, in first-occurrence order."""
+    return list(dict.fromkeys(formula_variables(f)))
 
 
 def rename_formula(f: Formula, renaming: Dict[Variable, Term]) -> Formula:

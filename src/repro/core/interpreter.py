@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -73,7 +72,7 @@ from ..obs.context import Instrumentation, NOOP, active
 from ..obs.provenance import active_recorder, config_digest
 from .database import Database
 from .errors import AttemptBudgetExceeded, DeadlineExceeded, SearchBudgetExceeded
-from .formulas import TRUTH, Call, Formula, Seq, apply_subst, formula_variables, seq
+from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables, seq
 from .parser import as_goal
 from .por import PartialOrderReducer, por_forced_off
 from .program import Program
@@ -89,6 +88,7 @@ from .transitions import (
     enabled_steps,
     frontier_blocked,
     is_final,
+    replay_into_store,
     update_footprint,
 )
 from .unify import Substitution, walk
@@ -443,31 +443,10 @@ class Interpreter:
         """
         _, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
-        obs = active()
-        budget = _Budget(self.max_configs, obs)
-        goal_vars = _ordered_vars(goal)
-        attr = self._attr()
-
-        def _search():
-            with obs.span("solve", engine="interpreter", goal=str(goal)):
-                try:
-                    for answers, final_db, _ in self._bfs(
-                        goal,
-                        db,
-                        goal_vars,
-                        budget,
-                        want_trace=False,
-                        obs=obs,
-                        deadline=_as_deadline(deadline),
-                        prov=self._prov(),
-                        attr=attr,
-                    ):
-                        yield Solution(dict(zip(goal_vars, answers)), final_db)
-                finally:
-                    _note_budget(obs, budget)
-                    self._note_table(obs)
-
-        yield from _hot.meter_engine(attr, _search(), "bfs")
+        yield from self._drive(
+            "solve", goal, db, ordered_variables(goal), False, deadline,
+            goal=str(goal),
+        )
 
     def succeeds(self, goal: Union[str, Formula], db: Database) -> bool:
         """True iff some execution of *goal* from *db* commits."""
@@ -489,35 +468,10 @@ class Interpreter:
         """Like :meth:`solve` but with execution traces attached."""
         _, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
-        obs = active()
-        budget = _Budget(self.max_configs, obs)
-        goal_vars = _ordered_vars(goal)
-        attr = self._attr()
-
-        def _search():
-            with obs.span(
-                "solve", engine="interpreter", mode="run", goal=str(goal)
-            ):
-                try:
-                    for answers, final_db, trace in self._bfs(
-                        goal,
-                        db,
-                        goal_vars,
-                        budget,
-                        want_trace=True,
-                        obs=obs,
-                        deadline=_as_deadline(deadline),
-                        prov=self._prov(),
-                        attr=attr,
-                    ):
-                        yield Execution(
-                            dict(zip(goal_vars, answers)), final_db, trace
-                        )
-                finally:
-                    _note_budget(obs, budget)
-                    self._note_table(obs)
-
-        yield from _hot.meter_engine(attr, _search(), "bfs")
+        yield from self._drive(
+            "solve", goal, db, ordered_variables(goal), True, deadline,
+            mode="run", goal=str(goal),
+        )
 
     def resume(
         self,
@@ -545,38 +499,61 @@ class Interpreter:
                 "summary is not comparable"
                 % (checkpoint.sort_concurrent, self.sort_concurrent)
             )
-        obs = active()
-        budget = _Budget(self.max_configs, obs)
-        goal_vars = list(checkpoint.goal_vars)
-        attr = self._attr()
         if checkpoint.table is not None and self._table is not None:
             # Warm-start from the interrupted search's answers.  A fresh
             # restore per resumption keeps resuming the same checkpoint
             # twice idempotent (the table is never shared between them).
             self._table = AnswerTable.restore(checkpoint.table)
+        yield from self._drive(
+            "resume",
+            checkpoint.goal,
+            None,
+            list(checkpoint.goal_vars),
+            checkpoint.want_trace,
+            deadline,
+            checkpoint,
+            goal=str(checkpoint.goal),
+            frontier=str(checkpoint.frontier_size),
+        )
+
+    def _drive(
+        self,
+        span: str,
+        goal: Formula,
+        db: Optional[Database],
+        goal_vars: List[Variable],
+        want_trace: bool,
+        deadline: Union[None, float, Deadline],
+        state: Optional[Checkpoint] = None,
+        /,
+        **tags: str,
+    ) -> Iterator[Union[Solution, Execution]]:
+        """The breadth-first search behind ``solve``, ``run`` and
+        ``resume``: one span (named *span*, tagged with *tags*), a fresh
+        budget, and the budget and table gauges noted however the search
+        ends.  Yields :class:`Execution` when *want_trace*, else
+        :class:`Solution`."""
+        obs = active()
+        budget = _Budget(self.max_configs, obs)
+        attr = self._attr()
 
         def _search():
-            with obs.span(
-                "resume",
-                engine="interpreter",
-                goal=str(checkpoint.goal),
-                frontier=str(checkpoint.frontier_size),
-            ):
+            with obs.span(span, engine="interpreter", **tags):
                 try:
                     for answers, final_db, trace in self._bfs(
-                        checkpoint.goal,
-                        None,
+                        goal,
+                        db,
                         goal_vars,
                         budget,
-                        want_trace=checkpoint.want_trace,
+                        want_trace=want_trace,
                         obs=obs,
                         deadline=_as_deadline(deadline),
-                        state=checkpoint,
+                        state=state,
                         prov=self._prov(),
                         attr=attr,
                     ):
                         bindings = dict(zip(goal_vars, answers))
-                        if checkpoint.want_trace:
+                        if want_trace:
                             yield Execution(bindings, final_db, trace)
                         else:
                             yield Solution(bindings, final_db)
@@ -584,13 +561,13 @@ class Interpreter:
                     _note_budget(obs, budget)
                     self._note_table(obs)
 
-        yield from _hot.meter_engine(attr, _search(), "bfs")
+        return _hot.meter_engine(attr, _search(), "bfs")
 
     def simulate(
         self,
         goal: Union[str, Formula],
         db: Optional[Database] = None,
-        *legacy,
+        *,
         seed: Optional[int] = None,
         max_depth: int = 100_000,
         deadline: Union[None, float, Deadline] = None,
@@ -611,12 +588,11 @@ class Interpreter:
         durable state advances iff the simulation succeeded.
         """
         store, db = self._resolve_state(db)
-        seed, max_depth = _simulate_legacy_args(legacy, seed, max_depth)
         goal = self.program.resolve_goal(as_goal(goal))
         obs = active()
         budget = _Budget(self.max_configs, obs)
         rng = random.Random(seed) if seed is not None else None
-        goal_vars = _ordered_vars(goal)
+        goal_vars = ordered_variables(goal)
         attr = self._attr()
         with obs.span("simulate", engine="interpreter", goal=str(goal)), \
                 _hot.engine_frame(attr, "dfs"):
@@ -643,7 +619,7 @@ class Interpreter:
             return None
         answers, final_db, trace, times = result
         if store is not None:
-            _commit_execution(store, trace)
+            replay_into_store(store, trace)
         return Execution(dict(zip(goal_vars, answers)), final_db, trace, times)
 
     # -- BFS core ---------------------------------------------------------------
@@ -1283,7 +1259,7 @@ class Interpreter:
         attr=None,
     ):
         def executions(body: Formula, db: Database, sub_budget):
-            body_vars = _ordered_vars(body)
+            body_vars = ordered_variables(body)
             for answers, final_db, trace in self._bfs(
                 body,
                 db,
@@ -1399,31 +1375,6 @@ class Interpreter:
         return run_isolated
 
 
-def _simulate_legacy_args(legacy, seed, max_depth):
-    """Map legacy positional ``simulate(goal, db, seed, max_depth)`` calls.
-
-    ``seed`` and ``max_depth`` are keyword-only since the API unification;
-    positional use keeps working for one deprecation cycle.
-    """
-    if not legacy:
-        return seed, max_depth
-    if len(legacy) > 2:
-        raise TypeError(
-            "simulate() takes 2 positional arguments (goal, db) but %d were given"
-            % (2 + len(legacy))
-        )
-    warnings.warn(
-        "passing seed/max_depth positionally to simulate() is deprecated; "
-        "use keyword arguments (seed=..., max_depth=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    seed = legacy[0]
-    if len(legacy) == 2:
-        max_depth = legacy[1]
-    return seed, max_depth
-
-
 def _resolve_store(store, db):
     """The ``(store, initial db)`` resolution every engine entry point
     shares: explicit ``store=`` beats the ambient provider, and
@@ -1454,50 +1405,6 @@ def _ambient_store(db):
     return ctx.provide_store(db)
 
 
-def _commit_execution(store, trace) -> None:
-    """Commit a successful execution's trace to a store, mapping the
-    trace's isolation structure onto savepoints: one top-level
-    savepoint for the run, a nested one per ``iso`` subtrace.  On any
-    failure the savepoint is rolled back (best-effort on a crashed
-    store -- reopening it rolls back for us) and the error propagates,
-    so a partial commit is never left visible."""
-    sp = store.savepoint()
-    try:
-        _replay_into(store, trace)
-    except BaseException:
-        try:
-            store.rollback(sp)
-        except Exception:
-            pass
-        raise
-    else:
-        store.release(sp)
-
-
-def _replay_into(store, actions) -> None:
-    """The store twin of :func:`repro.core.transitions.replay_actions`:
-    queries are skipped, updates applied, ``iso`` (and ``table``, whose
-    subtrace is the recorded big-step execution) bracketed."""
-    for action in actions:
-        kind = action.kind
-        if kind == "ins":
-            store.insert(action.atom)
-        elif kind == "del":
-            store.delete(action.atom)
-        elif kind in ("iso", "table"):
-            sp = store.savepoint()
-            try:
-                _replay_into(store, action.subtrace)
-            except BaseException:
-                try:
-                    store.rollback(sp)
-                except Exception:
-                    pass
-                raise
-            else:
-                store.release(sp)
-
-
 def _note_budget(obs: Instrumentation, budget: _Budget) -> None:
     """Record the final budget spend of a finished (or abandoned) search."""
     if obs.enabled:
@@ -1519,11 +1426,3 @@ def _head_call(proc: Formula) -> Optional[Tuple[Atom, Tuple[Formula, ...]]]:
         if isinstance(first, Call):
             return first.atom, proc.parts[1:]
     return None
-
-
-def _ordered_vars(goal: Formula) -> List[Variable]:
-    """Free variables of the goal, first-occurrence order, deduplicated."""
-    seen: Dict[Variable, None] = {}
-    for v in formula_variables(goal):
-        seen.setdefault(v, None)
-    return list(seen)

@@ -26,11 +26,15 @@ still use recursion-as-storage (a counter encoded in recursion depth),
 and top-down evaluation would diverge on it.  The table is what restores
 termination -- recursion that revisits a (call, state) pair contributes
 nothing new and closes the loop.
+
+The same table serves nonrecursive TD (Theorem 4.7): with an acyclic
+call graph no fixpoint is needed, and
+:class:`repro.core.nonrec.NonrecursiveEngine` -- this engine's top-down
+mode -- fills each entry once, on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import hotspots as _hot
@@ -50,14 +54,15 @@ from .formulas import (
     Seq,
     Test,
     Truth,
-    formula_variables,
+    ordered_variables,
     walk_formulas,
 )
 from .interpreter import Solution, _resolve_store
 from .parser import as_goal
 from .program import Program
-from .terms import Atom, Constant, Term, Variable
-from .unify import Substitution, apply_atom, unify_atoms, walk
+from .tabling import canonical_call
+from .terms import Atom, Constant, Variable
+from .unify import Substitution, apply_atom, walk
 
 __all__ = ["SequentialEngine"]
 
@@ -66,26 +71,9 @@ _Key = Tuple[Atom, Database]
 #: A table answer: constants for the canonical variables, plus the output
 #: state.
 _Answer = Tuple[Tuple[Constant, ...], Database]
-
-
-def _canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:
-    """Rename the atom's variables to V0, V1, ... in order of occurrence.
-
-    Returns the canonical atom and the original variables in index order
-    so answers can be mapped back onto the caller's substitution.
-    """
-    mapping: Dict[Variable, Variable] = {}
-    originals: List[Variable] = []
-    args: List[Term] = []
-    for t in atom.args:
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable("V%d" % len(mapping))
-                originals.append(t)
-            args.append(mapping[t])
-        else:
-            args.append(t)
-    return Atom(atom.pred, tuple(args)), originals
+#: A table entry: the key's answers, insertion-ordered (a dict used as an
+#: ordered set).
+_Answers = Dict[_Answer, None]
 
 
 class SequentialEngine:
@@ -94,7 +82,14 @@ class SequentialEngine:
     Raises :class:`UnsupportedProgramError` if the program or goal uses
     concurrent composition.  ``iso(a)`` is accepted and equals ``a``:
     with no siblings to interleave, isolation is a no-op.
+
+    Subclasses choose how table entries are filled: :meth:`_prepare`
+    runs before any answer is read (here, the least fixpoint), and
+    :meth:`_eval_call` reads -- or computes -- one entry.
     """
+
+    #: Engine label on the ``solve`` span and the attribution frames.
+    _label = "seqeval"
 
     def __init__(
         self,
@@ -130,7 +125,7 @@ class SequentialEngine:
         self._check_sequential()
         # Persistent across queries: the table only ever grows, and its
         # entries are valid independently of which goal asked for them.
-        self._table: Dict[_Key, Set[_Answer]] = {}
+        self._table: Dict[_Key, _Answers] = {}
         # Dependency graph for the worklist driver: callee -> callers.
         self._dependents: Dict[_Key, Set[_Key]] = {}
         # Keys whose rules have been evaluated at least once (a key can
@@ -150,13 +145,12 @@ class SequentialEngine:
 
     def _check_sequential(self) -> None:
         for rule in self.program.rules:
-            for sub in walk_formulas(rule.body):
-                if isinstance(sub, Conc):
-                    raise UnsupportedProgramError(
-                        "rule for %s uses concurrent composition; "
-                        "the sequential engine cannot evaluate it"
-                        % (rule.head,)
-                    )
+            if _uses_conc(rule.body):
+                raise UnsupportedProgramError(
+                    "rule for %s uses concurrent composition; "
+                    "the sequential engine cannot evaluate it"
+                    % (rule.head,)
+                )
 
     # -- public API -------------------------------------------------------------
 
@@ -173,12 +167,11 @@ class SequentialEngine:
         """
         _, db = _resolve_store(self.store, db)
         goal = self.program.resolve_goal(as_goal(goal))
-        for sub in walk_formulas(goal):
-            if isinstance(sub, Conc):
-                raise UnsupportedProgramError(
-                    "goal uses concurrent composition; use the full interpreter"
-                )
-        goal_vars = _ordered_vars(goal)
+        if _uses_conc(goal):
+            raise UnsupportedProgramError(
+                "goal uses concurrent composition; use the full interpreter"
+            )
+        goal_vars = ordered_variables(goal)
         obs = self._obs = active()
         prov = self._prov_rec = (
             self.provenance if self.provenance is not None else active_recorder()
@@ -198,17 +191,8 @@ class SequentialEngine:
         self._prov_key_nodes = {}
 
         def _search():
-            with obs.span("solve", engine="seqeval", goal=str(goal)):
-                with obs.span("table-fixpoint"):
-                    if attr is not None:
-                        with attr.frame(phase="fixpoint"):
-                            self._run_fixpoint(goal, db)
-                    else:
-                        self._run_fixpoint(goal, db)
-                if obs.enabled:
-                    keys, answers = self.table_size
-                    obs.metrics.set_gauge("table.keys", keys)
-                    obs.metrics.set_gauge("table.answers", answers)
+            with obs.span("solve", engine=self._label, goal=str(goal)):
+                self._prepare(goal, db)
                 emitted = set()
                 for theta, final_db in self._eval(goal, db, {}):
                     bindings = {v: walk(v, theta) for v in goal_vars}
@@ -237,8 +221,9 @@ class SequentialEngine:
                                 deleted=dels,
                             )
                         yield Solution(bindings, final_db)
+                self._note_table()
 
-        yield from _hot.meter_engine(attr, _search(), "seqeval")
+        yield from _hot.meter_engine(attr, _search(), self._label)
 
     def succeeds(self, goal: Formula, db: Database) -> bool:
         for _ in self.solve(goal, db):
@@ -253,6 +238,26 @@ class SequentialEngine:
         """(number of keys, number of answers) -- exposed for the
         EXPTIME scaling benchmark."""
         return len(self._table), sum(len(v) for v in self._table.values())
+
+    def _note_table(self) -> None:
+        """Record the table-size gauges of the current solve."""
+        obs = self._obs
+        if obs.enabled:
+            keys, answers = self.table_size
+            obs.metrics.set_gauge("table.keys", keys)
+            obs.metrics.set_gauge("table.answers", answers)
+
+    def _prepare(self, goal: Formula, db: Database) -> None:
+        """Fill the table before the goal's answers are read: the least
+        fixpoint over every call the goal can reach from *db*."""
+        attr = self._attr_cur
+        with self._obs.span("table-fixpoint"):
+            if attr is not None:
+                with attr.frame(phase="fixpoint"):
+                    self._run_fixpoint(goal, db)
+            else:
+                self._run_fixpoint(goal, db)
+        self._note_table()
 
     # -- fixpoint driver ----------------------------------------------------------
     #
@@ -317,7 +322,6 @@ class SequentialEngine:
         if self._obs.enabled:
             self._obs.metrics.inc("table.recomputes")
         canon_atom, db_in = key
-        answers = self._table[key]
         prov = self._prov_rec
         call_node: Optional[int] = None
         if prov is not None:
@@ -326,17 +330,32 @@ class SequentialEngine:
                     "call", str(canon_atom), parent=self._prov_root
                 )
             call_node = self._prov_key_nodes[key]
-        canon_vars = [t for t in canon_atom.args if isinstance(t, Variable)]
-        # Deduplicate canonical variables preserving order.
-        seen: Dict[Variable, None] = {}
-        for v in canon_vars:
-            seen.setdefault(v, None)
-        canon_vars = list(seen)
+        self._collect(canon_atom, db_in, call_node, self._table[key])
+
+    def _collect(
+        self,
+        canon_atom: Atom,
+        db_in: Database,
+        call_node: Optional[int],
+        answers: _Answers,
+    ) -> None:
+        """Evaluate every rule matching *canon_atom* from *db_in* and add
+        each answer not yet in *answers*.
+
+        Each new answer is charged to the attributor and, under
+        *call_node*, recorded as a derivation.  The fixpoint re-collects
+        a key whenever a callee grows; the top-down subclass collects a
+        key once.
+        """
+        canon_vars = list(
+            dict.fromkeys(t for t in canon_atom.args if isinstance(t, Variable))
+        )
         attr = self._attr_cur
+        prov = self._prov_rec
         # Indexed dispatch: head matching for this canonical call shape
         # is memoized on the program (see Program.match_rules).
         for rule, theta in self.program.match_rules(canon_atom):
-            # One attribution frame per rule-body evaluation: _recompute
+            # One attribution frame per rule-body evaluation: collection
             # runs eagerly (never suspends), so push/pop bracket exactly.
             rule_token = (
                 attr.push(rule=_hot.rule_label(rule.head), predicate=canon_atom.pred)
@@ -346,22 +365,18 @@ class SequentialEngine:
             try:
                 for theta_out, db_out in self._eval(rule.body, db_in, theta):
                     values = []
-                    ground = True
                     for v in canon_vars:
                         t = walk(v, theta_out)
                         if isinstance(t, Variable):
-                            ground = False
-                            break
+                            raise SafetyError(
+                                "rule for %s does not bind all head variables"
+                                % (canon_atom,)
+                            )
                         values.append(t)
-                    if not ground:
-                        raise SafetyError(
-                            "rule for %s does not bind all head variables"
-                            % (canon_atom,)
-                        )
                     entry = (tuple(values), db_out)
                     if entry in answers:
                         continue
-                    answers.add(entry)
+                    answers[entry] = None
                     if attr is not None:
                         attr.charge("steps.expansions", 1)
                         ins_a, dels_a = db_delta(db_in, db_out)
@@ -370,17 +385,12 @@ class SequentialEngine:
                             attr.charge("db.delta", delta)
                     if prov is not None:
                         ins, dels = db_delta(db_in, db_out)
+                        bindings = dict(zip(canon_vars, values))
                         prov.record(
                             "answer",
-                            str(
-                                apply_atom(
-                                    canon_atom, dict(zip(canon_vars, values))
-                                )
-                            ),
+                            str(apply_atom(canon_atom, bindings)),
                             parent=call_node,
-                            bindings=render_bindings(
-                                dict(zip(canon_vars, values))
-                            ),
+                            bindings=render_bindings(bindings),
                             inserted=ins,
                             deleted=dels,
                             witness={"rule": str(rule.head)},
@@ -531,8 +541,7 @@ class SequentialEngine:
     def _eval_call(
         self, atom: Atom, db: Database, theta: Substitution
     ) -> Iterator[Tuple[Substitution, Database]]:
-        instantiated = apply_atom(atom, theta)
-        canon_atom, originals = _canonical_call(instantiated)
+        canon_atom, originals = canonical_call(apply_atom(atom, theta))
         key = (canon_atom, db)
         self._consulted.add(key)
         answers = self._table.get(key)
@@ -541,23 +550,34 @@ class SequentialEngine:
             # Register the key; the worklist driver will compute it.
             if obs.enabled:
                 obs.metrics.inc("table.misses")
-            self._table[key] = set()
+            self._table[key] = {}
             self._new_keys.append(key)
             return
         if obs.enabled:
             obs.metrics.inc("table.hits")
-        for values, db_out in sorted(answers, key=_answer_order):
-            out = dict(theta)
-            consistent = True
-            for v, value in zip(originals, values):
-                bound = walk(v, out)
-                if isinstance(bound, Variable):
-                    out[bound] = value
-                elif bound != value:
-                    consistent = False
-                    break
-            if consistent:
-                yield out, db_out
+        yield from _bind_answers(
+            theta, originals, sorted(answers, key=_answer_order)
+        )
+
+
+def _bind_answers(
+    theta: Substitution, originals: List[Variable], answers
+) -> Iterator[Tuple[Substitution, Database]]:
+    """Replay table answers onto the caller's substitution: each answer
+    binds the call's original variables (in canonical order) to its
+    values, unless that clashes with a binding already made."""
+    for values, db_out in answers:
+        out = dict(theta)
+        consistent = True
+        for v, value in zip(originals, values):
+            bound = walk(v, out)
+            if isinstance(bound, Variable):
+                out[bound] = value
+            elif bound != value:
+                consistent = False
+                break
+        if consistent:
+            yield out, db_out
 
 
 def _answer_order(answer: _Answer):
@@ -565,11 +585,9 @@ def _answer_order(answer: _Answer):
     return (tuple(str(v) for v in values), tuple(str(f) for f in db))
 
 
-def _ordered_vars(goal: Formula) -> List[Variable]:
-    seen: Dict[Variable, None] = {}
-    for v in formula_variables(goal):
-        seen.setdefault(v, None)
-    return list(seen)
+def _uses_conc(f: Formula) -> bool:
+    """True if *f* contains a concurrent composition."""
+    return any(isinstance(sub, Conc) for sub in walk_formulas(f))
 
 
 class SearchExhausted_impossible(RuntimeError):

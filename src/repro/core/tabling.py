@@ -96,8 +96,8 @@ def tabling_disabled():
 def canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:
     """Rename the atom's variables to V0, V1, ... in order of occurrence.
 
-    Same convention as the sequential engine's table keys: constants
-    stay, repeated variables share one canonical name.  Returns the
+    The sequential engine keys its table the same way: constants stay,
+    repeated variables share one canonical name.  Returns the
     canonical atom and the original variables in canonical index order,
     so served answers can be mapped back onto the caller's terms.
     """

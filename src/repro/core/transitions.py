@@ -476,6 +476,39 @@ def replay_actions(actions, db: Database) -> Database:
     return db
 
 
+def replay_into_store(store, actions) -> None:
+    """The durable twin of :func:`replay_actions`: re-apply a trace's
+    updates to a store.
+
+    The store is duck-typed (``insert``, ``delete``, ``savepoint``,
+    ``release``, ``rollback`` -- the :class:`repro.store.Store`
+    protocol), so the core never imports the store package.  The replay
+    runs under one savepoint, and each ``iso`` (or ``table``, whose
+    subtrace is the recorded big-step execution) subtrace under a
+    nested one -- the savepoint mapping of the paper's isolation.  On
+    any failure the savepoint is rolled back (best-effort on a crashed
+    store: reopening it rolls back for us) and the original error
+    propagates, so a partial replay is never left visible.
+    """
+    sp = store.savepoint()
+    try:
+        for action in actions:
+            kind = action.kind
+            if kind == "ins":
+                store.insert(action.atom)
+            elif kind == "del":
+                store.delete(action.atom)
+            elif kind in ("iso", "table"):
+                replay_into_store(store, action.subtrace)
+    except BaseException:
+        try:
+            store.rollback(sp)
+        except Exception:
+            pass
+        raise
+    store.release(sp)
+
+
 # ---------------------------------------------------------------------------
 # Dead-configuration pruning
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..core.database import Database
 from ..core.formulas import (
@@ -66,7 +66,7 @@ from ..core.formulas import (
     Ins,
     Isol,
     Seq,
-    formula_variables,
+    ordered_variables,
 )
 from ..core.parser import as_goal
 from ..core.program import Program, Rule
@@ -113,13 +113,6 @@ def _coerce(body: BodyLike) -> Tuple[Formula, Tuple[Rule, ...], Tuple[Atom, ...]
     return as_goal(body), (), ()
 
 
-def _ordered_vars(f: Formula) -> List[Variable]:
-    seen: Dict[Variable, None] = {}
-    for v in formula_variables(f):
-        seen.setdefault(v, None)
-    return list(seen)
-
-
 def _fresh_head(base: str, variables) -> Atom:
     return Atom("%s_%d" % (base, next(_counter)), tuple(variables))
 
@@ -135,7 +128,7 @@ def retry(body: BodyLike, attempts: int, *, budget: Optional[int] = None) -> Rec
     if attempts < 1:
         raise ValueError("retry needs at least one attempt, got %d" % attempts)
     goal, carried_rules, carried_facts = _coerce(body)
-    variables = _ordered_vars(goal)
+    variables = ordered_variables(goal)
     head = _fresh_head("retry", variables)
     token_pred = head.pred + "_tok"
     # \x01-prefixed names cannot clash with source-program variables.
@@ -175,8 +168,8 @@ def fallback(primary: BodyLike, alternate: BodyLike) -> Recovered:
     """Isolated attempt of *primary*, with *alternate* as the backup."""
     pgoal, prules, pfacts = _coerce(primary)
     agoal, arules, afacts = _coerce(alternate)
-    variables = _ordered_vars(pgoal)
-    for v in _ordered_vars(agoal):
+    variables = ordered_variables(pgoal)
+    for v in ordered_variables(agoal):
         if v not in variables:
             variables.append(v)
     head = _fresh_head("fallback", variables)
@@ -211,8 +204,8 @@ def compensate(body: BodyLike, undo: BodyLike) -> Recovered:
     """
     agoal, arules, afacts = _coerce(body)
     ugoal, urules, ufacts = _coerce(undo)
-    avars = _ordered_vars(agoal)
-    uvars = _ordered_vars(ugoal)
+    avars = ordered_variables(agoal)
+    uvars = ordered_variables(ugoal)
     head = _fresh_head("comp", avars)
     undo_head = _fresh_head("comp_undo", uvars)
     rules = (

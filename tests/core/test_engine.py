@@ -13,6 +13,8 @@ from repro import (
     parse_program,
     select_engine,
 )
+from repro.core.errors import SearchBudgetExceeded
+from repro.obs import Instrumentation, instrumented
 
 
 class TestRouting:
@@ -95,6 +97,42 @@ class TestUniformAPI:
         assert finals[0] == finals[1] == finals[2]
 
 
+class TestSmallStepSettings:
+    """``simulate``/``resume`` over an analytic backend run a small-step
+    interpreter; it takes its budget and tabling from ``select_engine``."""
+
+    def test_simulate_honours_max_configs(self, bank_program, bank_db):
+        eng = select_engine(bank_program, max_configs=2)
+        assert isinstance(eng.backend, NonrecursiveEngine)
+        with pytest.raises(SearchBudgetExceeded):
+            eng.simulate("transfer(a, b, 5)", bank_db)
+        assert select_engine(bank_program).simulate("transfer(a, b, 5)", bank_db)
+
+    def test_simulate_honours_tabling(self, bank_program, bank_db):
+        def table_keys(tabling):
+            eng = select_engine(bank_program, tabling=tabling)
+            inst = Instrumentation.create()
+            with instrumented(inst):
+                assert eng.simulate("transfer(a, b, 5)", bank_db) is not None
+            return inst.metrics.gauges.get("table.keys")
+
+        assert table_keys(True) is not None
+        assert table_keys(False) is None
+
+    def test_resume_honours_max_configs(self, bank_program, bank_db):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            list(
+                Interpreter(bank_program, max_configs=2).solve(
+                    "transfer(a, b, 5)", bank_db
+                )
+            )
+        checkpoint = info.value.checkpoint
+        with pytest.raises(SearchBudgetExceeded):
+            list(select_engine(bank_program, max_configs=2).resume(checkpoint))
+        (solution,) = select_engine(bank_program).resume(checkpoint)
+        assert solution.database == parse_database("balance(a, 95). balance(b, 15).")
+
+
 class TestUnifiedGoalAPI:
     """Every solve surface accepts str | Formula via the shared coercer."""
 
@@ -141,12 +179,9 @@ class TestUnifiedGoalAPI:
 
 
 class TestDeprecationShims:
-    """Pre-PR positional call shapes keep working, with a warning."""
-
-    def test_select_engine_positional_max_configs_warns(self, tc_program):
-        with pytest.warns(DeprecationWarning, match="max_configs"):
-            eng = select_engine(tc_program, "path(a, d)", 10_000)
-        assert isinstance(eng.backend, SequentialEngine)
+    """The pre-unification positional call shapes are gone: options
+    after ``goal`` (``select_engine``) and after ``db`` (``simulate``)
+    are keyword-only."""
 
     def test_select_engine_keyword_max_configs_is_silent(self, tc_program):
         import warnings
@@ -155,27 +190,13 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             select_engine(tc_program, "path(a, d)", max_configs=10_000)
 
-    def test_select_engine_positional_value_is_used(self):
-        prog = parse_program("loop <- ins.a | loop.")  # full TD -> Interpreter
-        with pytest.warns(DeprecationWarning):
-            eng = select_engine(prog, None, 1234)
-        assert isinstance(eng.backend, Interpreter)
-        assert eng.backend.max_configs == 1234
-
-    def test_interpreter_simulate_positional_seed_warns(self, tc_program, chain_db):
-        interp = Interpreter(tc_program)
-        with pytest.warns(DeprecationWarning, match="seed"):
-            exe = interp.simulate(parse_goal("path(a, d)"), chain_db, 3)
-        assert exe is not None
-        with pytest.warns(DeprecationWarning):
-            exe = interp.simulate(parse_goal("path(a, d)"), chain_db, None, 50_000)
-        assert exe is not None
-
-    def test_engine_simulate_positional_seed_warns(self, tc_program, chain_db):
-        eng = select_engine(tc_program)
-        with pytest.warns(DeprecationWarning):
-            exe = eng.simulate("path(a, d)", chain_db, 3)
-        assert exe is not None
+    def test_positional_options_are_type_errors(self, tc_program, chain_db):
+        with pytest.raises(TypeError):
+            select_engine(tc_program, "path(a, d)", 10_000)
+        with pytest.raises(TypeError):
+            Interpreter(tc_program).simulate(parse_goal("path(a, d)"), chain_db, 3)
+        with pytest.raises(TypeError):
+            select_engine(tc_program).simulate("path(a, d)", chain_db, 3)
 
     def test_too_many_positionals_still_a_type_error(self, tc_program, chain_db):
         interp = Interpreter(tc_program)
