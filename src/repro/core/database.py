@@ -15,7 +15,7 @@ style sharing keeps the small-step search affordable).
 from __future__ import annotations
 
 import warnings
-from bisect import insort
+from bisect import bisect_left
 from typing import (
     AbstractSet,
     Dict,
@@ -129,7 +129,7 @@ class Database:
     def _sorted_facts(self, pred: str) -> list:
         cached = self._sorted.get(pred)
         if cached is None:
-            cached = sorted(self._index.get(pred, ()))
+            cached = sorted(self._index.get(pred, ()), key=Atom._sort_key)
             self._sorted[pred] = cached
         return cached
 
@@ -177,27 +177,17 @@ class Database:
                 db._argidx[key] = idx
         old_sorted = self._sorted.get(pred)
         if old_sorted is not None:
-            new_sorted = [f for f in old_sorted if f != fact] if removed else list(old_sorted)
-            if not removed:
-                insort(new_sorted, fact)
-            db._sorted[pred] = new_sorted
+            db._sorted[pred] = _spliced(old_sorted, fact, removed)
         for key, idx in self._argidx.items():
             if key[0] != pred:
                 continue
-            pos = key[1]
-            value = fact.args[pos]
+            value = fact.args[key[1]]
             new_idx = dict(idx)
-            bucket = new_idx.get(value, [])
-            if removed:
-                new_bucket = [f for f in bucket if f != fact]
-                if new_bucket:
-                    new_idx[value] = new_bucket
-                else:
-                    new_idx.pop(value, None)
-            else:
-                new_bucket = list(bucket)
-                insort(new_bucket, fact)
+            new_bucket = _spliced(new_idx.get(value, []), fact, removed)
+            if new_bucket:
                 new_idx[value] = new_bucket
+            else:
+                new_idx.pop(value, None)
             db._argidx[key] = new_idx
         return db
 
@@ -227,8 +217,7 @@ class Database:
 
     def __iter__(self) -> Iterator[Atom]:
         for pred in sorted(self._index):
-            for fact in sorted(self._index[pred]):
-                yield fact
+            yield from self._sorted_facts(pred)
 
     def __len__(self) -> int:
         return sum(len(g) for g in self._index.values())
@@ -351,5 +340,26 @@ class Database:
         return self.insert_all(other)
 
     def difference(self, other: "Database") -> FrozenSet[Atom]:
-        """Facts present here but not in *other* (for delta reporting)."""
-        return frozenset(f for f in self if f not in other)
+        """Facts present here but not in *other* (for delta reporting).
+
+        Set algebra per predicate group; a group *other* shares by
+        identity (every predicate a successor state did not touch, see
+        ``_derive``) is skipped without looking at its facts."""
+        theirs = other._index
+        changed = []
+        for pred, group in self._index.items():
+            other_group = theirs.get(pred)
+            if other_group is group:
+                continue
+            changed.append(group if other_group is None else group - other_group)
+        return frozenset().union(*changed)
+
+
+def _spliced(facts: list, fact: Atom, removed: bool) -> list:
+    """A copy of the sorted list *facts* with *fact* removed (it must be
+    present) or inserted in order, located by binary search on the
+    atoms' cached sort keys."""
+    at = bisect_left(facts, fact)
+    if removed:
+        return facts[:at] + facts[at + 1:]
+    return facts[:at] + [fact] + facts[at:]

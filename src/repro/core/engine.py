@@ -44,6 +44,7 @@ from .nonrec import NonrecursiveEngine
 from .parser import as_goal
 from .program import Program
 from .seqeval import SequentialEngine
+from .tabling import drop_tables_on_commit
 
 __all__ = ["Engine", "select_engine", "solve"]
 
@@ -208,11 +209,16 @@ class Engine:
         Simulation always uses the small-step scheduler (traces are a
         small-step notion), regardless of the analytic backend.  When a
         store is attached the winning trace is committed to it (see
-        :meth:`Interpreter.simulate`).
+        :meth:`Interpreter.simulate`), and a commit that changes the
+        state drops the backend's tables.
         """
         interp = self._interpreter()
         obs = self._describe()
-        return self._timed(
+        # Over an analytic backend the interpreter is per call, so the
+        # backend's own table follows the commit here.
+        store = interp.store if interp is not self.backend else None
+        before = store.database() if store is not None else None
+        execution = self._timed(
             obs,
             goal,
             lambda: interp.simulate(
@@ -220,6 +226,9 @@ class Engine:
                 deadline=deadline,
             ),
         )
+        if before is not None:
+            drop_tables_on_commit(self.backend, before, store.database())
+        return execution
 
 
 def select_engine(

@@ -76,7 +76,12 @@ from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables,
 from .parser import as_goal
 from .por import PartialOrderReducer, por_forced_off
 from .program import Program
-from .tabling import AnswerTable, canonical_call, tabling_forced_off
+from .tabling import (
+    AnswerTable,
+    canonical_call,
+    drop_tables_on_commit,
+    tabling_forced_off,
+)
 from .terms import Atom, Term, Variable
 from .transitions import (
     Action,
@@ -585,7 +590,9 @@ class Interpreter:
         committed to it before returning -- inserts and deletes
         replayed in commit order, each ``iso`` subtrace inside a nested
         savepoint under one top-level savepoint -- so the store's
-        durable state advances iff the simulation succeeded.
+        durable state advances iff the simulation succeeded.  A commit
+        that changes the state drops the answer table, whose entries
+        are keyed on the states before it.
         """
         store, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
@@ -620,6 +627,7 @@ class Interpreter:
         answers, final_db, trace, times = result
         if store is not None:
             replay_into_store(store, trace)
+            drop_tables_on_commit(self, db, final_db)
         return Execution(dict(zip(goal_vars, answers)), final_db, trace, times)
 
     # -- BFS core ---------------------------------------------------------------
@@ -1028,6 +1036,13 @@ class Interpreter:
             residual,
             final_db,
         )
+
+    def _drop_tables(self) -> None:
+        """Start a fresh answer table with the same key cap (see
+        :func:`repro.core.tabling.drop_tables_on_commit`).  A search
+        still suspended keeps the table it started with."""
+        if self._table is not None:
+            self._table = AnswerTable(max_keys=self._table.max_keys)
 
     def _note_table(self, obs: Instrumentation) -> None:
         """Record the table-size gauges after a search (same shape as the

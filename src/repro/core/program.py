@@ -51,27 +51,49 @@ class ProgramError(ValueError):
     """Raised for ill-formed rulebases (e.g. updating a derived predicate)."""
 
 
-def _canon_call(atom: Atom) -> Tuple[Atom, Dict[Variable, Variable]]:
-    """Abstract a call atom to its shape: variables are renamed to
+def _canon_call(
+    atom: Atom, inspected: frozenset
+) -> Tuple[Atom, Dict[Variable, Term]]:
+    """Abstract a call atom to its *mode*: variables are renamed to
     reserved names by first occurrence (``\\x00`` cannot appear in source
-    variable names), constants are kept.  Two calls with the same shape
-    match the same rules with α-equivalent unifiers."""
-    mapping: Dict[Variable, Variable] = {}
+    variable names), constants are kept only at the *inspected*
+    positions and replaced by a per-position placeholder elsewhere.
+    Two calls with the same mode match the same rules with α-equivalent
+    unifiers.  Returns the canonical atom and the map from each reserved
+    variable back to the call's own term."""
+    inv: Dict[Variable, Term] = {}
+    canon: Dict[Variable, Variable] = {}
     args = []
-    changed = False
-    for t in atom.args:
+    for pos, t in enumerate(atom.args):
         if isinstance(t, Variable):
-            c = mapping.get(t)
+            c = canon.get(t)
             if c is None:
-                c = Variable("\x00%d" % len(mapping))
-                mapping[t] = c
+                c = canon[t] = Variable("\x00%d" % len(canon))
+                inv[c] = t
             args.append(c)
-            changed = True
-        else:
+        elif pos in inspected:
             args.append(t)
-    if not changed:
-        return atom, mapping
-    return Atom(atom.pred, tuple(args)), mapping
+        else:
+            c = Variable("\x01%d" % pos)
+            inv[c] = t
+            args.append(c)
+    if not inv:
+        return atom, inv
+    return Atom(atom.pred, tuple(args)), inv
+
+
+def _inspected_positions(rules: Sequence["Rule"]) -> frozenset:
+    """Argument positions at which some head in *rules* tests the call:
+    a non-variable, or a variable that occurs more than once in its
+    head.  Everywhere else every head has a variable of its own, which
+    binds whatever the call passes without failing."""
+    positions = set()
+    for rule in rules:
+        args = rule.head.args
+        for pos, t in enumerate(args):
+            if not isinstance(t, Variable) or args.count(t) > 1:
+                positions.add(pos)
+    return frozenset(positions)
 
 
 @dataclass(frozen=True)
@@ -148,6 +170,9 @@ class Program:
         for rule in self._rules:
             self._derived.setdefault(rule.head.signature, []).append(rule)
         self._fresh_counter = itertools.count(1)
+        self._inspected: Dict[Signature, frozenset] = {
+            sig: _inspected_positions(rules) for sig, rules in self._derived.items()
+        }
         self._match_cache: Dict[Atom, list] = {}
         self._footprint: Optional[Tuple[frozenset, frozenset]] = None
         self._validate()
@@ -239,15 +264,17 @@ class Program:
 
         Equivalent to scanning :meth:`fresh_rules_for` and unifying each
         renamed head, but which heads match -- and with what unifier, up
-        to renaming -- depends only on the call's *shape* (its constants
-        and variable-sharing pattern), so the result is memoized per
-        canonicalized call atom.  Repeated unfoldings of the same call
-        shape then skip head unification entirely: only the matching
-        rules are renamed and their cached unifier templates are
-        instantiated with the call's actual variables.
+        to renaming -- depends only on the call's *mode*: its
+        variable-sharing pattern and its constants at the positions some
+        head inspects (:func:`_inspected_positions`).  The result is
+        memoized per mode, so the memo stays bounded however many
+        distinct ground calls arrive, and repeated unfoldings skip head
+        unification entirely: only the matching rules are renamed and
+        their cached unifier templates are instantiated with the call's
+        actual terms.
         """
         sig = call_atom.signature
-        canon, mapping = _canon_call(call_atom)
+        canon, inv = _canon_call(call_atom, self._inspected.get(sig, frozenset()))
         entry = self._match_cache.get(canon)
         rules = self._derived.get(sig, ())
         if entry is None:
@@ -255,14 +282,13 @@ class Program:
             for idx, rule in enumerate(rules):
                 # Base (unrenamed) rule vars cannot collide with the
                 # reserved canonical names, so this one unification
-                # stands in for every future call of this shape.
+                # stands in for every future call of this mode.
                 theta = unify_atoms(rule.head, canon)
                 if theta is not None:
                     entry.append((idx, theta))
             self._match_cache[canon] = entry
         if not entry:
             return
-        inv: Dict[Variable, Term] = {c: v for v, c in mapping.items()}
         for idx, ctheta in entry:
             suffix = "#%d" % next(self._fresh_counter)
             theta: Dict[Variable, Term] = {}

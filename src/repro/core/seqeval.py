@@ -123,14 +123,7 @@ class SequentialEngine:
         #: never moved.  Disable to pin the textual order.
         self.join_order = join_order
         self._check_sequential()
-        # Persistent across queries: the table only ever grows, and its
-        # entries are valid independently of which goal asked for them.
-        self._table: Dict[_Key, _Answers] = {}
-        # Dependency graph for the worklist driver: callee -> callers.
-        self._dependents: Dict[_Key, Set[_Key]] = {}
-        # Keys whose rules have been evaluated at least once (a key can
-        # be computed and still have an empty answer set).
-        self._computed: Set[_Key] = set()
+        self._drop_tables()
         # Per-evaluation scratch: keys consulted / newly registered.
         self._consulted: Set[_Key] = set()
         self._new_keys: List[_Key] = []
@@ -193,6 +186,7 @@ class SequentialEngine:
         def _search():
             with obs.span("solve", engine=self._label, goal=str(goal)):
                 self._prepare(goal, db)
+                table = self._table
                 emitted = set()
                 for theta, final_db in self._eval(goal, db, {}):
                     bindings = {v: walk(v, theta) for v in goal_vars}
@@ -221,6 +215,12 @@ class SequentialEngine:
                                 deleted=dels,
                             )
                         yield Solution(bindings, final_db)
+                        if self._table is not table:
+                            # A commit dropped the tables while this
+                            # enumeration was suspended: refill them for
+                            # the calls it has yet to read.
+                            self._prepare(goal, db)
+                            table = self._table
                 self._note_table()
 
         yield from _hot.meter_engine(attr, _search(), self._label)
@@ -232,6 +232,19 @@ class SequentialEngine:
 
     def final_databases(self, goal: Formula, db: Database) -> Set[Database]:
         return {sol.database for sol in self.solve(goal, db)}
+
+    def _drop_tables(self) -> None:
+        """Start with empty tables; ``__init__`` and, after a commit
+        changed the store's state, the engine façade (see
+        :func:`repro.core.tabling.drop_tables_on_commit`)."""
+        # Persistent across queries until then: entries are valid
+        # independently of which goal asked for them.
+        self._table: Dict[_Key, _Answers] = {}
+        # Dependency graph for the worklist driver: callee -> callers.
+        self._dependents: Dict[_Key, Set[_Key]] = {}
+        # Keys whose rules have been evaluated at least once (a key can
+        # be computed and still have an empty answer set).
+        self._computed: Set[_Key] = set()
 
     @property
     def table_size(self) -> Tuple[int, int]:

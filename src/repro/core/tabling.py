@@ -26,7 +26,11 @@ call shape becomes the shape's *base snapshot*, and every further state
 is keyed by the two fact sets that differ from the base
 (:meth:`repro.core.database.Database.difference` both ways).  A table
 entry therefore costs the changed tuples, not a full database copy, and
-the ``table.delta_bytes`` counter reports the encoded size.
+the ``table.delta_bytes`` counter reports the encoded size.  A commit
+that changes the store's state drops the whole table
+(:func:`drop_tables_on_commit`), so the base snapshot resets with it:
+the next shape to be called keys against the committed state, and
+deltas stay small on a long-lived engine.
 
 Answers support **subsumption**: an answer binding strictly fewer
 argument positions than an existing one -- same final database --
@@ -63,6 +67,7 @@ __all__ = [
     "AnswerTable",
     "TableEntry",
     "canonical_call",
+    "drop_tables_on_commit",
     "subsumes",
     "tabling_disabled",
     "tabling_forced_off",
@@ -91,6 +96,19 @@ def tabling_disabled():
         yield
     finally:
         _FORCE_DISABLED = prev
+
+
+def drop_tables_on_commit(engine, before: Database, after: Database) -> None:
+    """The table lifetime rule shared by every engine: once a commit has
+    moved the store from *before* to a different state, *engine* starts
+    afresh (its ``_drop_tables``).
+
+    Every table here is keyed on ``(call, database)`` pairs, so entries
+    for a superseded state are still correct but can only be hit again
+    if the store returns to exactly that state.  Keeping them would make
+    a long-lived engine's memory grow with every write it commits."""
+    if after != before:
+        engine._drop_tables()
 
 
 def canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:

@@ -23,10 +23,20 @@ Constants and atoms are *interned*: constructing ``Constant("a")`` (or an
 object.  The engines hash these objects constantly -- every database
 state is a frozenset of atoms, every memo table keys on them -- so each
 instance precomputes its hash once, equality gets an identity fast path,
-and ``Atom`` caches its groundness.  The intern tables hold their entries
-weakly, so transient pattern atoms from a search are reclaimed with the
-search.  Interning is a cache, not an identity guarantee: equality is
-still by value, and code must never rely on ``is`` for term comparison.
+``Atom`` caches its groundness, and both cache their sort key (see
+below).  The intern tables hold their entries weakly, so transient
+pattern atoms from a search are reclaimed with the search.  Interning
+is a cache, not an identity guarantee: equality is still by value, and
+code must never rely on ``is`` for term comparison.
+
+Ordering
+--------
+
+Terms and atoms order by a nested-tuple *sort key*, so sorting a state
+is a C-level tuple comparison per pair.  A ``Constant`` or ``Atom``
+computes its key on first use and keeps it in a slot: construction pays
+nothing for it, and the many atoms that are only hashed never build one.
+The key is not part of the pickled form.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ class Constant:
     compare values; use builtins for value comparisons.
     """
 
-    __slots__ = ("value", "_hash", "__weakref__")
+    __slots__ = ("value", "_hash", "_key", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
@@ -107,7 +117,12 @@ class Constant:
         return (Constant, (self.value,))
 
     def _sort_key(self):
-        return ("c", type(self.value).__name__, str(self.value))
+        try:
+            return self._key
+        except AttributeError:
+            key = ("c", type(self.value).__name__, str(self.value))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __lt__(self, other):
         if isinstance(other, (Constant, Variable)):
@@ -188,7 +203,7 @@ class Atom:
     predicates defined by rules.
     """
 
-    __slots__ = ("pred", "args", "_hash", "_ground", "__weakref__")
+    __slots__ = ("pred", "args", "_hash", "_ground", "_key", "__weakref__")
 
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
@@ -247,7 +262,12 @@ class Atom:
                 yield t
 
     def _sort_key(self):
-        return (self.pred, tuple(t._sort_key() for t in self.args))
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.pred, tuple(t._sort_key() for t in self.args))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __lt__(self, other):
         if isinstance(other, Atom):

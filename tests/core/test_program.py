@@ -1,11 +1,14 @@
 """Unit tests for rulebases: resolution, validation, renaming."""
 
+import re
+
 import pytest
 
-from repro.core.formulas import Call, Ins, Seq, Test, Truth
-from repro.core.parser import parse_program, parse_rules
+from repro.core.formulas import Call, Ins, Seq, Test, Truth, apply_subst
+from repro.core.parser import parse_goal, parse_program, parse_rules
 from repro.core.program import Program, ProgramError, Rule
 from repro.core.terms import Atom, Variable, atom
+from repro.core.unify import apply_atom, unify_atoms
 
 
 class TestResolution:
@@ -99,3 +102,70 @@ class TestProgramAPI:
         prog = parse_program("axiom(a).\naxiom(b).\nok <- axiom(X).")
         assert prog.is_derived(("axiom", 1))
         assert len(prog.rules_for(("axiom", 1))) == 2
+
+
+class TestMatchRules:
+    """Indexed call dispatch against the naive scan it memoizes."""
+
+    PROGRAM = """
+    t(a, X) <- ins.r(X).
+    t(X, X) <- ins.s(X).
+    t(X, Y) <- ins.u(X, Y).
+    t(b, c) <- ins.v.
+    move(F, T, Amt) <- ins.w(F, T, Amt).
+    """
+
+    @staticmethod
+    def _render(matches, call):
+        return [
+            re.sub(
+                r"#\d+",
+                "#",
+                "%s / %s" % (apply_atom(call, theta), apply_subst(rule.body, theta)),
+            )
+            for rule, theta in matches
+        ]
+
+    def _naive(self, prog, call):
+        matches = []
+        for rule in prog.fresh_rules_for(call.signature):
+            theta = unify_atoms(rule.head, call)
+            if theta is not None:
+                matches.append((rule, theta))
+        return matches
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "t(a, a)", "t(a, b)", "t(b, b)", "t(b, c)", "t(c, d)", "t(1, 1)",
+            "t(X, a)", "t(X, X)", "t(X, Y)", "t(a, Y)", "t(b, Y)",
+            "move(a1, a2, 5)", "move(a1, a1, 5)", "move(X, a2, X)",
+        ],
+    )
+    def test_dispatch_matches_naive_scan(self, call):
+        prog = parse_program(self.PROGRAM)
+        atom_ = parse_goal(call).atom
+        for _ in range(2):  # a cold memo, then a warm one
+            assert self._render(prog.match_rules(atom_), atom_) == self._render(
+                self._naive(prog, atom_), atom_
+            )
+
+    def test_distinct_ground_calls_share_one_memo_entry(self):
+        prog = parse_program(self.PROGRAM)
+        sizes = set()
+        for i in range(500):
+            call = atom("move", "a%d" % i, "a%d" % (i + 1), i % 40)
+            ((_, theta),) = prog.match_rules(call)
+            assert sorted(str(t) for t in theta.values()) == sorted(
+                str(t) for t in call.args
+            )
+            sizes.add(len(prog._match_cache))
+        assert sizes == {1}
+
+    def test_inspected_positions_keep_their_constants(self):
+        prog = parse_program(self.PROGRAM)
+        for call in ("t(a, b)", "t(c, b)", "t(c, d)", "t(b, c)"):
+            list(prog.match_rules(parse_goal(call).atom))
+        # t/2 heads test both positions (constants, and X repeated in
+        # t(X, X)), so every distinct ground call is its own mode.
+        assert len(prog._match_cache) == 4

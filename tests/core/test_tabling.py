@@ -21,9 +21,12 @@ import pytest
 from repro import (
     Database,
     Interpreter,
+    MemoryStore,
+    SequentialEngine,
     parse_database,
     parse_goal,
     parse_program,
+    select_engine,
 )
 from repro.core.errors import ReproError, SearchBudgetExceeded
 from repro.core.tabling import (
@@ -569,6 +572,115 @@ class TestCheckpointResume:
         else:
             pytest.fail("resume loop made no progress (tabling livelock)")
         assert len(got) == len(self._full())
+
+
+# -- table lifetime across commits ---------------------------------------------
+
+#: Reachability with update transactions, as in the ``reach_mixed``
+#: workload of the goal-stream benchmark.
+_REACH_TD = """
+reach(X, Y) <- edge(X, Y).
+reach(X, Y) <- edge(X, Z) * reach(Z, Y).
+link(X, Y) <- ins.edge(X, Y).
+unlink(X, Y) <- edge(X, Y) * del.edge(X, Y).
+"""
+
+_NODES = ["n%d" % i for i in range(6)]
+
+
+def _reach_answers(engine, db=None):
+    return {
+        node: sorted(
+            str(t)
+            for sol in engine.solve(parse_goal("reach(%s, Y)" % node), db)
+            for t in sol.bindings.values()
+        )
+        for node in _NODES
+    }
+
+
+def _writes(count, seed=0):
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        op = rng.choice(("link", "unlink"))
+        src = rng.randrange(len(_NODES) - 1)
+        dst = rng.randrange(src + 1, len(_NODES))
+        yield "%s(%s, %s)" % (op, _NODES[src], _NODES[dst])
+
+
+class TestTableLifetimeAcrossCommits:
+    def _engine(self):
+        store = MemoryStore(parse_database("edge(n0, n1). edge(n1, n2). edge(n3, n4)."))
+        engine = select_engine(parse_program(_REACH_TD), store=store)
+        assert isinstance(engine.backend, Interpreter)
+        return engine, store
+
+    def test_answers_after_writes_match_a_fresh_engine(self):
+        engine, store = self._engine()
+        for write in _writes(40):
+            engine.simulate(parse_goal(write))
+            fresh = select_engine(parse_program(_REACH_TD))
+            assert _reach_answers(engine) == _reach_answers(fresh, store.database())
+
+    def test_table_keys_stay_bounded_across_writes(self):
+        engine, store = self._engine()
+        changed = 0
+        for write in _writes(200, seed=1):
+            before = store.database()
+            engine.simulate(parse_goal(write))
+            changed += store.database() != before
+            _reach_answers(engine)
+            # Only the reads of the current state are tabled: exactly the
+            # keys a fresh interpreter builds for the same reads.
+            fresh = Interpreter(parse_program(_REACH_TD))
+            _reach_answers(fresh, store.database())
+            assert engine.backend._table.keys == fresh._table.keys
+        assert changed > 50  # the writes really moved the store
+
+    def test_unchanged_state_keeps_the_warm_table(self):
+        engine, store = self._engine()
+        _reach_answers(engine)
+        table = engine.backend._table
+        engine.simulate(parse_goal("unlink(n0, n5)"))  # no such edge: fails
+        engine.simulate(parse_goal("link(n0, n1)"))  # already present
+        assert engine.backend._table is table
+
+    def test_analytic_backend_drops_its_table_on_commit(self):
+        program = parse_program(
+            "path(X, Y) <- edge(X, Y). path(X, Y) <- edge(X, Z) * path(Z, Y)."
+        )
+        store = MemoryStore(parse_database("edge(a, b). edge(b, c)."))
+        engine = select_engine(program, store=store)
+        assert type(engine.backend) is SequentialEngine
+        goal = parse_goal("path(a, Y)")
+        list(engine.solve(goal))
+        assert engine.backend.table_size[0] > 0
+        engine.simulate(parse_goal("ins.edge(c, d)"))
+        assert engine.backend.table_size == (0, 0)
+        assert {str(s.bindings[Variable("Y")]) for s in engine.solve(goal)} == {
+            "b", "c", "d",
+        }
+
+    def test_suspended_analytic_solve_survives_a_commit(self):
+        # A commit between two answers of a lazy enumeration drops the
+        # tables that enumeration reads; it must refill them, not lose
+        # the answers still to come.
+        program = parse_program(
+            "path(X, Y) <- edge(X, Y). path(X, Y) <- edge(X, Z) * path(Z, Y)."
+        )
+        db = parse_database("edge(a, b). edge(b, c). edge(c, d). edge(a, c).")
+        goal = parse_goal("edge(a, X) * path(X, Y)")
+        expected = _solution_set(select_engine(program), goal, db)
+        engine = select_engine(program, store=MemoryStore(db))
+        got = set()
+        for sol in engine.solve(goal):
+            bindings = sorted((str(v), str(t)) for v, t in sol.bindings.items())
+            got.add((tuple(bindings), sol.database))
+            engine.simulate(parse_goal("ins.edge(d, e%d)" % len(got)))
+        assert len(got) == len(expected) == 3
+        assert got == expected
 
 
 # -- provenance ---------------------------------------------------------------
