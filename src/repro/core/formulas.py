@@ -304,24 +304,33 @@ def _eval_arith(expr: ArithExpr, subst: Substitution):
 # ---------------------------------------------------------------------------
 
 
+def _composite(cls, parts: Tuple[Formula, ...]) -> Formula:
+    """A ``Seq``/``Conc`` node over parts that are already flat (no
+    nested node of the same class, no ``true``), built without the
+    re-flattening pass of ``__post_init__``."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "parts", parts)
+    return node
+
+
 def seq(*parts: Formula) -> Formula:
     """Sequential composition; collapses units and singletons."""
-    flat = _flatten(Seq, tuple(parts))
+    flat = _flatten(Seq, parts)
     if not flat:
         return TRUTH
     if len(flat) == 1:
         return flat[0]
-    return Seq(flat)
+    return _composite(Seq, flat)
 
 
 def conc(*parts: Formula) -> Formula:
     """Concurrent composition; collapses units and singletons."""
-    flat = _flatten(Conc, tuple(parts))
+    flat = _flatten(Conc, parts)
     if not flat:
         return TRUTH
     if len(flat) == 1:
         return flat[0]
-    return Conc(flat)
+    return _composite(Conc, flat)
 
 
 def iso(body: Formula, budget: Optional[int] = None) -> Formula:
@@ -386,6 +395,11 @@ def apply_subst(f: Formula, subst: Substitution) -> Formula:
     are returned unchanged (not copied), so a step's residual shares all
     untouched structure -- and therefore all cached canonical-key and
     free-variable summaries -- with its parent configuration.
+
+    The result has the same tree shape as *f*: every node keeps its
+    class and arity, so a ``Seq``/``Conc`` stays flat and a check that
+    resolves leaves through *subst* (``dead_config(f, ..., subst)``)
+    answers for the substituted tree without building it.
     """
     if not subst:
         return f
@@ -403,10 +417,10 @@ def apply_subst(f: Formula, subst: Substitution) -> Formula:
         return Del(apply_atom(f.atom, subst))
     if isinstance(f, Call):
         return Call(apply_atom(f.atom, subst))
-    if isinstance(f, Seq):
-        return Seq(tuple(apply_subst(p, subst) for p in f.parts))
-    if isinstance(f, Conc):
-        return Conc(tuple(apply_subst(p, subst) for p in f.parts))
+    if isinstance(f, (Seq, Conc)):
+        return _composite(
+            type(f), tuple([apply_subst(p, subst) for p in f.parts])
+        )
     if isinstance(f, Isol):
         return Isol(apply_subst(f.body, subst), f.budget)
     if isinstance(f, Builtin):

@@ -88,6 +88,7 @@ from .transitions import (
     Configuration,
     Step,
     _ckey_pair,
+    apply_step,
     canonical_key,
     dead_config,
     enabled_steps,
@@ -757,11 +758,17 @@ class Interpreter:
                 for step in steps:
                     budget.spend()
                     stepped = True
-                    new_proc = apply_subst(step.residual, step.subst)
-                    if dead_config(new_proc, step.database, insertable, deletable):
+                    if dead_config(
+                        step.residual,
+                        step.database,
+                        insertable,
+                        deletable,
+                        step.subst,
+                    ):
                         if prov is not None:
                             prov.record_step(step, parent, "dead-config")
                         continue
+                    new_proc = apply_step(step)
                     new_answers = tuple(walk(t, step.subst) for t in config.answers)
                     succ = Configuration(new_proc, step.database, new_answers)
                     key = self._key(succ)
@@ -1071,9 +1078,16 @@ class Interpreter:
         attr=None,
     ) -> Optional[tuple]:
         insertable, deletable = update_footprint(self.program, goal)
-        failed: Set[object] = set()
-        # The failed-state memo is keyed on (process, database) alone,
-        # which is sound only when enabledness depends on nothing else.
+        sort_conc = self.sort_concurrent
+        # The failed-state memo maps a database to the canonical keys of
+        # the processes that failed from it.  Keys are computed lazily:
+        # a frame keeps its (process, database) pair and is keyed only
+        # when it is recorded as failed, or when a successor's database
+        # already has a bucket -- searches that never fail (or never
+        # meet a database they failed from) compute no canonical key.
+        failed: Dict[Database, Set[object]] = {}
+        # The memo is keyed on (process, database) alone, which is
+        # sound only when enabledness depends on nothing else.
         # A fault injector is *tick*-dependent -- the same configuration
         # can fail now and succeed after a fault window expires -- so
         # the memo starts disabled under faults, and is re-enabled the
@@ -1107,8 +1121,15 @@ class Interpreter:
             ``iso``: the nested search yields one step per isolated
             execution, and eager materialization here would force it to
             enumerate its *entire* execution space even when the first
-            one commits the goal.  (Seeded runs still materialize -- a
-            shuffle needs the full list.)
+            one commits the goal.  (Seeded runs still enumerate every
+            step -- a shuffle needs the full list.)
+
+            Classification is substitution-aware: each step is judged
+            dead, blocked or ready from its unsubstituted ``residual``
+            and ``local`` plus ``step.subst``, and its residual process
+            is materialized (:func:`apply_step`) only when it is yielded
+            -- that is, when the DFS descends into it.  Of the steps a
+            seeded expansion classifies, most are never reached.
             """
             if table is not None:
                 head = _head_call(proc)
@@ -1150,35 +1171,36 @@ class Interpreter:
             deferred = []
             for step in steps:
                 budget.spend()
-                new_proc = apply_subst(step.residual, step.subst)
-                if dead_config(new_proc, step.database, insertable, deletable):
+                subst = step.subst
+                db = step.database
+                if dead_config(step.residual, db, insertable, deletable, subst):
                     if prov is not None:
                         prov.record_step(step, pnode, "dead-config")
                     continue
-                local = apply_subst(step.local, step.subst)
-                if frontier_blocked(local, step.database):
-                    deferred.append((step, new_proc))
+                if frontier_blocked(step.local, db, subst):
+                    deferred.append(step)
                 elif rng is None:
-                    yield step, new_proc
+                    yield step, apply_step(step)
                 else:
-                    ready.append((step, new_proc))
+                    ready.append(step)
             if rng is not None:
                 rng.shuffle(ready)
                 rng.shuffle(deferred)
-                yield from ready
-            yield from deferred
+                for step in ready:
+                    yield step, apply_step(step)
+            for step in deferred:
+                yield step, apply_step(step)
 
-        # Each frame: [key, step iterator, answers, hits_before, prov
-        # node, stepped].  The explicit stack avoids Python recursion
-        # limits on long workflow executions.
+        # Each frame: [process, database, step iterator, answers,
+        # hits_before, prov node, stepped].  The explicit stack avoids
+        # Python recursion limits on long workflow executions.
         root = (
             prov.record("config", str(goal), disposition="root")
             if prov is not None
             else None
         )
-        start_key = (canonical_key(goal, self.sort_concurrent), db)
         stack: List[list] = [
-            [start_key, expand(goal, db, root), tuple(goal_vars), 0, root, False]
+            [goal, db, expand(goal, db, root), tuple(goal_vars), 0, root, False]
         ]
         enabled = obs.enabled
         if enabled:
@@ -1190,7 +1212,7 @@ class Interpreter:
             if not use_memo and getattr(faults, "dormant", False):
                 use_memo = True
             frame = stack[-1]
-            key, steps, answers, hits_before, fnode, _ = frame
+            proc, state, steps, answers, hits_before, fnode, _ = frame
             advanced = False
             for step, new_proc in steps:
                 new_answers = tuple(walk(t, step.subst) for t in answers)
@@ -1200,7 +1222,7 @@ class Interpreter:
                 child = None
                 if prov is not None:
                     child = prov.record_step(step, fnode)
-                    frame[5] = True
+                    frame[6] = True
                 if is_final(new_proc):
                     if prov is not None:
                         prov.mark(
@@ -1222,8 +1244,8 @@ class Interpreter:
                     if prov is not None:
                         prov.mark(child, "depth-limit")
                     continue
-                new_key = (canonical_key(new_proc, self.sort_concurrent), step.database)
-                if use_memo and new_key in failed:
+                bucket = failed.get(step.database) if use_memo and failed else None
+                if bucket is not None and canonical_key(new_proc, sort_conc) in bucket:
                     trace.pop()
                     if times is not None:
                         times.pop()
@@ -1236,7 +1258,8 @@ class Interpreter:
                     continue
                 stack.append(
                     [
-                        new_key,
+                        new_proc,
+                        step.database,
                         expand(new_proc, step.database, child),
                         new_answers,
                         limit_hits,
@@ -1252,10 +1275,12 @@ class Interpreter:
                 # Frame exhausted: memoize as failed only if no descendant
                 # was truncated by the depth limit (soundness of the memo).
                 if use_memo and limit_hits == hits_before:
-                    failed.add(key)
+                    failed.setdefault(state, set()).add(
+                        canonical_key(proc, sort_conc)
+                    )
                 if prov is not None:
                     prov.mark(
-                        fnode, "backtracked" if frame[5] else "failed-unify"
+                        fnode, "backtracked" if frame[6] else "failed-unify"
                     )
                 stack.pop()
                 if trace:

@@ -28,7 +28,8 @@ sorted) so searches can memoize visited configurations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .database import Database
@@ -54,7 +55,7 @@ from .formulas import (
 )
 from .program import Program
 from .terms import Atom, Term, Variable
-from .unify import Substitution, apply_atom, unify_atoms
+from .unify import EMPTY_SUBST, Substitution, apply_atom, unify_atoms
 
 __all__ = [
     "Action",
@@ -102,7 +103,6 @@ class Action:
         return str(self.atom)
 
 
-@dataclass(frozen=True)
 class Step:
     """One enabled transition out of a configuration.
 
@@ -112,13 +112,35 @@ class Step:
     ``local`` to notice that a rule choice left its own branch blocked --
     e.g. an iteration's stop rule unfolded before its flag exists -- and
     defer that choice behind immediately runnable ones.
+
+    Both formulas are stored *before* ``subst`` is applied.  A consumer
+    that only needs a verdict about the successor passes ``subst`` to
+    :func:`dead_config` / :func:`frontier_blocked`, and calls
+    :func:`apply_step` only for a successor it actually explores.
+
+    A plain slotted class rather than a dataclass: every enumerated
+    transition builds one (and each enclosing ``Seq``/``Conc`` another),
+    so construction cost is on the search's hottest path.
     """
 
-    action: Action
-    subst: Substitution
-    residual: Formula  # the full residual process, *before* applying subst
-    database: Database
-    local: Formula = TRUTH
+    __slots__ = ("action", "subst", "residual", "database", "local")
+
+    def __init__(
+        self,
+        action: Action,
+        subst: Substitution,
+        residual: Formula,
+        database: Database,
+        local: Formula = TRUTH,
+    ):
+        self.action = action
+        self.subst = subst
+        self.residual = residual
+        self.database = database
+        self.local = local
+
+    def __repr__(self) -> str:
+        return "Step(%s, %r, %s)" % (self.action, self.subst, self.residual)
 
 
 @dataclass(frozen=True)
@@ -543,6 +565,7 @@ def dead_config(
     db: Database,
     insertable: frozenset,
     deletable: frozenset,
+    subst: Substitution = EMPTY_SUBST,
 ) -> bool:
     """True if *proc* can provably never complete from *db*.
 
@@ -561,32 +584,42 @@ def dead_config(
     exploring before the failure is discovered.  Pruning is sound
     because frontier failure of such a branch is invariant under any
     sibling activity.
+
+    With *subst* the verdict is the one for ``apply_subst(proc, subst)``
+    -- substitution preserves tree shape, and every leaf check resolves
+    its variables through *subst* -- so a search can classify a step's
+    successor without building it.
     """
     if isinstance(proc, Truth):
         return False
     if isinstance(proc, Test):
-        return proc.atom.pred not in insertable and not db.holds(proc.atom)
+        return proc.atom.pred not in insertable and not db.holds(proc.atom, subst)
     if isinstance(proc, Neg):
-        return proc.atom.pred not in deletable and db.holds(proc.atom)
+        return proc.atom.pred not in deletable and db.holds(proc.atom, subst)
     if isinstance(proc, Builtin):
         try:
-            return proc.evaluate({}) is None
+            return proc.evaluate(subst) is None
         except ValueError:
             # Unbound variables: a sibling may still bind them.
             return False
     if isinstance(proc, Seq):
-        return dead_config(proc.parts[0], db, insertable, deletable)
+        return dead_config(proc.parts[0], db, insertable, deletable, subst)
     if isinstance(proc, Conc):
-        return any(dead_config(p, db, insertable, deletable) for p in proc.parts)
+        for p in proc.parts:
+            if dead_config(p, db, insertable, deletable, subst):
+                return True
+        return False
     if isinstance(proc, Isol):
         # Every execution of the isolated body starts with the body's
         # own frontier, so a dead body frontier kills the iso too.
-        return dead_config(proc.body, db, insertable, deletable)
+        return dead_config(proc.body, db, insertable, deletable, subst)
     # Ins/Del/Call frontiers can always act (or need deeper search).
     return False
 
 
-def frontier_blocked(proc: Formula, db: Database) -> bool:
+def frontier_blocked(
+    proc: Formula, db: Database, subst: Substitution = EMPTY_SUBST
+) -> bool:
     """True if *proc* currently has no enabled elementary frontier.
 
     Weaker than :func:`dead_config`: a blocked configuration may be
@@ -597,24 +630,29 @@ def frontier_blocked(proc: Formula, db: Database) -> bool:
     the stop rule of an iteration testing a flag the loop body has not
     emitted yet) poisons the search, which then enumerates every
     interleaving of the sibling processes before backtracking out.
+
+    *subst* is applied lazily, exactly as in :func:`dead_config`.
     """
     if isinstance(proc, Truth):
         return False
     if isinstance(proc, Test):
-        return not db.holds(proc.atom)
+        return not db.holds(proc.atom, subst)
     if isinstance(proc, Neg):
-        return db.holds(proc.atom)
+        return db.holds(proc.atom, subst)
     if isinstance(proc, Builtin):
         try:
-            return proc.evaluate({}) is None
+            return proc.evaluate(subst) is None
         except ValueError:
             return True  # unbound: cannot fire until a sibling binds it
     if isinstance(proc, (Ins, Del)):
-        return not proc.atom.is_ground()
+        return not apply_atom(proc.atom, subst).is_ground()
     if isinstance(proc, Seq):
-        return frontier_blocked(proc.parts[0], db)
+        return frontier_blocked(proc.parts[0], db, subst)
     if isinstance(proc, Conc):
-        return all(frontier_blocked(p, db) for p in proc.parts)
+        for p in proc.parts:
+            if not frontier_blocked(p, db, subst):
+                return False
+        return True
     if isinstance(proc, Isol):
         # An isolated body that cannot currently run should be deferred
         # (e.g. a stop rule's atomic emptiness check taken while work
@@ -622,18 +660,20 @@ def frontier_blocked(proc: Formula, db: Database) -> bool:
         # of that work and poisons the search).  For pure-read bodies we
         # can decide enabledness exactly and cheaply; otherwise fall
         # back to the body's frontier.
-        verdict = _pure_read_satisfiable(proc.body, db)
+        verdict = _pure_read_satisfiable(proc.body, db, subst)
         if verdict is not None:
             return not verdict
-        return frontier_blocked(proc.body, db)
+        return frontier_blocked(proc.body, db, subst)
     return False
 
 
-def _pure_read_satisfiable(body: Formula, db: Database) -> Optional[bool]:
+def _pure_read_satisfiable(
+    body: Formula, db: Database, subst: Substitution = EMPTY_SUBST
+) -> Optional[bool]:
     """For bodies built only from tests / absence tests / builtins and
-    sequential composition: is the body satisfiable in *db* right now?
-    Returns None when the body contains updates, calls, or concurrency
-    (not decidable by inspection)."""
+    sequential composition: is ``apply_subst(body, subst)`` satisfiable
+    in *db* right now?  Returns None when the body contains updates,
+    calls, or concurrency (not decidable by inspection)."""
 
     def pure(f: Formula) -> bool:
         if isinstance(f, (Test, Neg, Builtin, Truth)):
@@ -677,7 +717,7 @@ def _pure_read_satisfiable(body: Formula, db: Database) -> Optional[bool]:
             return t2 is not None and _sat_seq(parts, idx + 1, t2)
         return sat(part, theta) and _sat_seq(parts, idx + 1, theta)
 
-    return sat(body, {})
+    return sat(body, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +739,9 @@ def _pure_read_satisfiable(body: Formula, db: Database) -> Optional[bool]:
 # child's whole subtree.  Because a step's residual shares all untouched
 # subtrees with its parent process (see ``apply_subst``), re-keying a
 # successor configuration only does work proportional to the changed
-# spine, not the whole tree.
+# spine, not the whole tree.  In sorted mode each concurrent branch also
+# caches the ``repr`` of its shape (``_ckey_branch``), the string its
+# parent sorts it by, so unchanged siblings are not re-rendered either.
 #
 # ``shape`` alone is the public key: ``varseq`` is first-occurrence
 # ordered by construction, so the key is invariant under variable
@@ -764,11 +806,26 @@ def _ckey_build(f: Formula, sort_conc: bool):
             "S", [_ckey_pair(p, sort_conc) for p in f.parts]
         )
     if isinstance(f, Conc):
-        pairs = [_ckey_pair(p, sort_conc) for p in f.parts]
         if not sort_conc:
-            return _ckey_assemble("C", pairs)
-        return _ckey_conc_sorted(pairs)
+            return _ckey_assemble(
+                "C", [_ckey_pair(p, False) for p in f.parts]
+            )
+        return _ckey_conc_sorted([_ckey_branch(p) for p in f.parts])
     raise TypeError("cannot canonicalize %r" % type(f).__name__)
+
+
+def _ckey_branch(f: Formula):
+    """``(render, pair)`` for a concurrent branch: its sorted-mode
+    ``(shape, varseq)`` pair and the ``repr`` of the shape that orders
+    it among its siblings.  The render is cached beside the pair, so
+    re-keying a successor renders only the branches that changed."""
+    pair = _ckey_pair(f, True)
+    cache = f._ckey_cache
+    render = cache.get("render")
+    if render is None:
+        render = repr(pair[0])
+        cache["render"] = render
+    return render, pair
 
 
 def _ckey_expr(expr, local: Dict[Variable, int]):
@@ -805,22 +862,22 @@ def _ckey_assemble(tag: str, pairs):
     return ((tag,) + tuple(embedded), tuple(order))
 
 
-def _ckey_conc_sorted(pairs):
+def _ckey_conc_sorted(branches):
     """Canonical (shape, varseq) for a concurrent node, invariant under
-    branch reordering.
+    branch reordering; *branches* are :func:`_ckey_branch` entries.
 
-    Branches are sorted by their perm-free shapes; groups of branches
-    with *identical* shapes can still differ in how their variables are
-    shared with the rest of the process, so within the tie groups every
+    Branches are sorted by their perm-free shapes (compared through
+    their cached renders); groups of branches with *identical* shapes
+    can still differ in how their variables are shared with the rest of
+    the process, so within the tie groups every
     ordering (bounded by :data:`_MAX_TIE_CANDIDATES`) is tried and the
     lexicographically least assembled key wins.  The candidate set
     depends only on the multiset of branches, which is what makes the
     key genuinely commutative -- the previous implementation kept input
     order on ties and keyed ``p(X,Y) | p(Z,X)`` apart from its swap.
     """
-    decorated = sorted(pairs, key=lambda pr: repr(pr[0]))
     groups: List[list] = []
-    for pr in decorated:
+    for _, pr in sorted(branches, key=itemgetter(0)):
         if groups and groups[-1][0][0] == pr[0]:
             groups[-1].append(pr)
         else:

@@ -233,3 +233,91 @@ class TestSimulate:
         exe = interp.simulate(parse_goal("simulate"), db)
         assert exe is not None
         assert exe.database in interp.final_databases(parse_goal("simulate"), db)
+
+
+class TestDfsFailedMemo:
+    """The DFS failed-state memo is keyed lazily (by database first, then
+    by canonical process shape); it must prune exactly as before."""
+
+    PROGRAM = """
+        w(X, Y) <- ins.on(X) * on(Y).
+        mk <- ins.c.
+    """
+    # Each worker announces itself, then waits for the next one's fact.
+    # Reads make the workers dependent, so partial-order reduction keeps
+    # several orders of the announcements; they all converge on the same
+    # (process, state) pairs, the last of which fails on ``c`` (never
+    # inserted, but insertable, so dead-config pruning cannot see it).
+    GOAL = "(w(a, b) | w(b, d) | w(d, a)) * c"
+
+    def _simulate(self, seed=None):
+        from repro.obs.context import instrumented
+        from repro.obs.provenance import ProvenanceRecorder
+
+        rec = ProvenanceRecorder()
+        interp = Interpreter(parse_program(self.PROGRAM), provenance=rec)
+        with instrumented() as inst:
+            result = interp.simulate(parse_goal(self.GOAL), Database(), seed=seed)
+        return result, inst.metrics.counters, rec
+
+    @pytest.mark.parametrize("seed", [None, 3, 7])
+    def test_memo_prunes_reconverging_interleavings(self, seed):
+        result, counters, rec = self._simulate(seed)
+        assert result is None
+        memo_hits = [
+            n
+            for n in rec.nodes
+            if n.disposition == "frontier-subsumed"
+            and n.witness.get("where") == "failed-memo"
+        ]
+        assert len(memo_hits) == 8
+        # Lazy keys must not change how much the search explores: these
+        # are the figures with keys computed for every pushed frame.
+        assert counters["search.configs_expanded"] == 20
+        assert counters["search.steps"] == 27
+
+
+#: sha256 of the newline-joined events of seeded lab simulations
+#: (``build_lab_simulator().run(sample_batch(n), seed=s)``), pinned so
+#: any change to the DFS's schedule shows up; keys are ``(n, s)``.
+LAB_TRACE_DIGESTS = {
+    (3, 1): "032edcd9868d79c61cd2e370d0c1acfe78d802878dbb9a24710b6eb3e9f56ea2",
+    (5, 2): "3b0c11a0be6c487365470e9d15da8219a6256e3a1df2bdb5b2c126da134a79c2",
+    (7, 11): "c15b3bda2ef502ecf1f7d0b0adbc5a270f9d9d82a040371a4bfc654a7ef4d03b",
+}
+
+_LAB_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.lims.lab import build_lab_simulator, sample_batch
+out = {}
+for n, s in %r:
+    events = build_lab_simulator().run(sample_batch(n), seed=s).execution.events
+    out["%%d,%%d" %% (n, s)] = hashlib.sha256("\\n".join(events).encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+class TestSeededLabTraces:
+    @pytest.mark.parametrize("hashseed", ["0", "4242"])
+    def test_golden_digests_under_hash_seeds(self, hashseed):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hashseed,
+            PYTHONPATH=os.pathsep.join(sys.path),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _LAB_DIGEST_SCRIPT % (sorted(LAB_TRACE_DIGESTS),)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        got = json.loads(out.stdout)
+        assert got == {
+            "%d,%d" % key: digest for key, digest in LAB_TRACE_DIGESTS.items()
+        }
