@@ -952,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--store", metavar="SPEC",
         help="storage backend: 'mem' or 'sqlite:PATH'; the winning "
-             "execution's trace is committed to it under savepoints",
+             "execution's net effect is committed to it atomically",
     )
     p_run.set_defaults(fn=_cmd_run)
 

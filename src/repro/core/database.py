@@ -14,7 +14,6 @@ style sharing keeps the small-step search affordable).
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from typing import (
     AbstractSet,
@@ -327,17 +326,6 @@ class Database:
         return db
 
     # -- comparison helpers -----------------------------------------------------
-
-    def union(self, other: "Database") -> "Database":
-        """Deprecated: use :meth:`insert_all` (or, for transactional
-        batches, :meth:`repro.store.Store.insert_all`)."""
-        warnings.warn(
-            "Database.union is deprecated; use Database.insert_all "
-            "(or Store.insert_all for transactional batches)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.insert_all(other)
 
     def difference(self, other: "Database") -> FrozenSet[Atom]:
         """Facts present here but not in *other* (for delta reporting).

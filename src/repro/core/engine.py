@@ -208,7 +208,7 @@ class Engine:
 
         Simulation always uses the small-step scheduler (traces are a
         small-step notion), regardless of the analytic backend.  When a
-        store is attached the winning trace is committed to it (see
+        store is attached the winning execution is committed to it (see
         :meth:`Interpreter.simulate`), and a commit that changes the
         state drops the backend's tables.
         """

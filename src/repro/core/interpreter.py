@@ -40,12 +40,11 @@ is duck-typed so the core never imports the faults package.
 Storage: a backend passed as ``store=`` (anything speaking the
 :class:`repro.store.Store` protocol -- same duck-typing discipline as
 ``faults=``) supplies the initial state when ``db`` is omitted, and
-:meth:`Interpreter.simulate` *commits* the winning execution's trace to
-it under savepoint-mapped isolation -- top-level savepoint around the
-run, a nested savepoint per ``iso`` subtrace.  The search itself never
-writes to the store (states stay immutable in-memory values), so the
-default ``store=None`` path is byte-identical to before the protocol
-existed.  See docs/STORAGE.md.
+:meth:`Interpreter.simulate` *commits* the winning execution to it as
+one net delta under a single savepoint (``Store.commit_delta``).  The
+search itself never writes to the store (states stay immutable
+in-memory values), so the default ``store=None`` path is byte-identical
+to before the protocol existed.  See docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -587,13 +586,17 @@ class Interpreter:
         checkpointable, so budget/deadline errors raised here carry
         ``checkpoint=None``.
 
-        When a store is attached, the winning execution's trace is
-        committed to it before returning -- inserts and deletes
-        replayed in commit order, each ``iso`` subtrace inside a nested
-        savepoint under one top-level savepoint -- so the store's
-        durable state advances iff the simulation succeeded.  A commit
-        that changes the state drops the answer table, whose entries
-        are keyed on the states before it.
+        When a store is attached, the winning execution is committed to
+        it before returning, so the store's durable state advances iff
+        the simulation succeeded.  The execution is one atomic
+        transition, so when the store still holds the state the search
+        started from only its net delta is written
+        (``store.commit_delta``: one savepoint, none for a read-only
+        run).  A store holding another state (an explicit ``db=`` that
+        is not the store's) has the trace replayed into it instead,
+        with a nested savepoint per ``iso`` subtrace.  A commit that
+        changes the state drops the answer table, whose entries are
+        keyed on the states before it.
         """
         store, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
@@ -627,7 +630,10 @@ class Interpreter:
             return None
         answers, final_db, trace, times = result
         if store is not None:
-            replay_into_store(store, trace)
+            if store.database() == db:
+                store.commit_delta(db, final_db)
+            else:
+                replay_into_store(store, trace)
             drop_tables_on_commit(self, db, final_db)
         return Execution(dict(zip(goal_vars, answers)), final_db, trace, times)
 

@@ -6,7 +6,8 @@ existed every state was an in-memory immutable
 protocol below carves out the storage surface the engines actually
 touch -- fact enumeration (``facts``), tuple testing (``matching`` /
 ``holds``), elementary updates (``insert`` / ``delete`` and their batch
-forms), content identity for memo keys (``content_hash``), and the
+forms), the net-delta commit of an execution (``commit_delta``),
+content identity for memo keys (``content_hash``), and the
 per-``(pred, position)`` lazy indexes (``arg_index``) -- so that the
 same search code can run against an in-memory state or a durable one.
 
@@ -216,6 +217,31 @@ class Store(ABC):
         """Abort the scope opened by *sp*: the state reverts to the
         moment the savepoint was taken (rollback-on-failure leaves no
         trace, as the paper's semantics demand)."""
+
+    def commit_delta(self, before: Database, after: Database) -> Database:
+        """Commit the move from state *before* to state *after* as one
+        atomic step; returns the new state.
+
+        A committed TD execution is one state transition (a failed one
+        leaves no trace), so only its net effect is written: the facts
+        of *before* missing from *after* are deleted and those new in
+        *after* inserted, in sorted order, under one savepoint that
+        rolls back on any error.  An empty delta opens no savepoint.
+        The store is expected to hold *before*.
+        """
+        removed = sorted(before.difference(after))
+        added = sorted(after.difference(before))
+        if removed or added:
+            with self.transaction():
+                self._write_delta(before, after, removed, added)
+        return self.database()
+
+    def _write_delta(self, before: Database, after: Database, removed, added) -> None:
+        """Apply one non-empty net delta inside :meth:`commit_delta`'s
+        savepoint.  Backends may override it with a cheaper write of
+        the same rows."""
+        self.delete_all(removed)
+        self.insert_all(added)
 
     @contextmanager
     def transaction(self) -> Iterator[Savepoint]:

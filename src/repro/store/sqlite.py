@@ -147,12 +147,19 @@ class TornRecord(Exception):
         super().__init__(reason)
 
 
-def frame_record(fact: Atom) -> bytes:
-    """Pickle *fact* and prepend the checksummed frame header."""
-    payload = pickle.dumps(fact, protocol=4)
+def _pickle(fact: Atom) -> bytes:
+    return pickle.dumps(fact, protocol=4)
+
+
+def _frame(payload: bytes) -> bytes:
     return _HEADER.pack(
         _MAGIC, RECORD_VERSION, len(payload), zlib.crc32(payload)
     ) + payload
+
+
+def frame_record(fact: Atom) -> bytes:
+    """Pickle *fact* and prepend the checksummed frame header."""
+    return _frame(_pickle(fact))
 
 
 def decode_record(blob: bytes, *, path: str, table: str, rowid) -> Atom:
@@ -209,9 +216,12 @@ def content_digest(facts: Iterable[Atom]) -> int:
     first 8 bytes of the combined hash are truncated to fit ``meta``'s
     INTEGER column.
     """
-    parts = sorted(
-        hashlib.sha256(pickle.dumps(fact, protocol=4)).digest() for fact in facts
-    )
+    return _payload_digest(_pickle(fact) for fact in facts)
+
+
+def _payload_digest(payloads: Iterable[bytes]) -> int:
+    """:func:`content_digest` over already-pickled facts."""
+    parts = sorted(hashlib.sha256(payload).digest() for payload in payloads)
     combined = hashlib.sha256(b"".join(parts)).digest()
     return int.from_bytes(combined[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
@@ -273,6 +283,10 @@ class SqliteStore(Store):
         # ``executemany`` when the outermost scope releases (one fsync
         # per trace commit instead of one per fact delta).
         self._wal_buffer: List[Tuple[str, str, bytes]] = []
+        # Committed WAL rows past the checkpoint (the tail a checkpoint
+        # folds), kept in step with the table so the per-update
+        # threshold check needs no query.
+        self._wal_tail = 0
         self._serial = 0
         self._lease: Optional[WriterLease] = None
         if readonly:
@@ -432,6 +446,7 @@ class SqliteStore(Store):
                 raise
             db = db.insert(fact) if op == "+" else db.delete(fact)
             replayed += 1
+        self._wal_tail = replayed
         if truncated_from is not None:
             if not self.readonly:
                 self._exec(
@@ -558,6 +573,7 @@ class SqliteStore(Store):
                 "INSERT INTO wal (op, pred, fact) VALUES (?, ?, ?)",
                 (op, fact.pred, frame_record(fact)),
             )
+            self._wal_tail += 1
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             if obs.enabled:
                 obs.metrics.inc("store.wal_appends")
@@ -573,6 +589,7 @@ class SqliteStore(Store):
             "INSERT INTO wal (op, pred, fact) VALUES (?, ?, ?)",
             self._wal_buffer,
         )
+        self._wal_tail += len(self._wal_buffer)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         obs = active()
         if obs.enabled:
@@ -605,6 +622,30 @@ class SqliteStore(Store):
             obs.metrics.inc("store.deletes")
         self._maybe_checkpoint()
         return self._db
+
+    def _write_delta(self, before, after, removed, added) -> None:
+        """Stage the net delta's WAL rows and adopt *after* as the
+        mirror, instead of re-deriving it one fact at a time.
+
+        Each row takes the same path an ``insert``/``delete`` would --
+        lease check, ``_append`` (crash ticks, staging), counters,
+        checkpoint deferral -- so counters, crash schedules and WAL
+        bytes are those of the base-class path.  A mirror that is not
+        *before* takes the base-class path itself."""
+        if self._db != before:
+            super()._write_delta(before, after, removed, added)
+            return
+        obs = active()
+        for op, facts, counter in (
+            ("-", removed, "store.deletes"), ("+", added, "store.inserts")
+        ):
+            for fact in facts:
+                self._check_writable()
+                self._append(op, fact)
+                if obs.enabled:
+                    obs.metrics.inc(counter)
+                self._maybe_checkpoint()
+        self._db = after
 
     # -- transactions (iso -> savepoint) ---------------------------------------
 
@@ -674,10 +715,7 @@ class SqliteStore(Store):
         # Staged-but-unflushed rows count: they will land at the next
         # outermost release, and the deferral bookkeeping in
         # _maybe_checkpoint should see the tail they are about to form.
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM wal WHERE seq > ?",
-            (self._meta("checkpoint_seq", 0),),
-        ).fetchone()[0] + len(self._wal_buffer)
+        return self._wal_tail + len(self._wal_buffer)
 
     def _maybe_checkpoint(self) -> None:
         if self._wal_length() < self.snapshot_every:
@@ -714,9 +752,11 @@ class SqliteStore(Store):
         self._exec("BEGIN IMMEDIATE")
         try:
             self._exec("DELETE FROM snapshot")
+            # Pickle each fact once, for both its frame and its digest.
+            payloads = [(fact.pred, _pickle(fact)) for fact in self._db]
             self._exec_many(
                 "INSERT INTO snapshot (pred, fact) VALUES (?, ?)",
-                [(fact.pred, frame_record(fact)) for fact in self._db],
+                [(pred, _frame(payload)) for pred, payload in payloads],
             )
             self._exec(
                 "UPDATE meta SET value=? WHERE key='generation'", (generation,)
@@ -728,7 +768,7 @@ class SqliteStore(Store):
             self._exec(
                 "INSERT INTO meta (key, value) VALUES ('snapshot_digest', ?) "
                 "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (content_digest(self._db),),
+                (_payload_digest(payload for _, payload in payloads),),
             )
             self._exec("DELETE FROM wal WHERE seq <= ?", (watermark,))
             # The torn moment of a fold: everything rewritten, nothing
@@ -743,6 +783,7 @@ class SqliteStore(Store):
                 self._conn.execute("ROLLBACK")
             raise
         self._checkpoint_deferred = False
+        self._wal_tail = 0
         obs = active()
         if obs.enabled:
             obs.metrics.inc("store.snapshots")
@@ -780,7 +821,12 @@ class SqliteStore(Store):
             schema_version=SCHEMA_VERSION if self.degraded is None else None,
             generation=self._meta("generation", 0),
             checkpoint_seq=self._meta("checkpoint_seq", 0),
-            wal_length=self._wal_length(),
+            # Counted on disk, not from _wal_tail: a degraded read-only
+            # open stops replay before the end of the log.
+            wal_length=self._conn.execute(
+                "SELECT COUNT(*) FROM wal WHERE seq > ?",
+                (self._meta("checkpoint_seq", 0),),
+            ).fetchone()[0] + len(self._wal_buffer),
             snapshot_facts=self._conn.execute(
                 "SELECT COUNT(*) FROM snapshot"
             ).fetchone()[0],

@@ -251,6 +251,19 @@ class TestSnapshotIntegrity:
             parse_atom("p(%d)" % i) for i in range(4)
         )
 
+    def test_snapshot_rows_are_framed_records(self, tmp_path):
+        path = str(tmp_path / "s.tdlog")
+        build_store(path, n=4, checkpoint=True)
+        conn = sqlite3.connect(path)
+        rows = sorted(
+            (pred, bytes(blob))
+            for pred, blob in conn.execute("SELECT pred, fact FROM snapshot")
+        )
+        conn.close()
+        assert rows == sorted(
+            ("p", frame_record(parse_atom("p(%d)" % i))) for i in range(4)
+        )
+
 
 class TestReadonlyDegradedOpen:
     def test_readonly_refuses_mutation(self, tmp_path):
